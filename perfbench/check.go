@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -318,10 +319,11 @@ func (b *bench) checkQuiescent(ck *checker) {
 				ck.check(bd.ContainsRange(clo, chi, x), "%s: quiescent snapshot %s[%d] = %d outside %+v around [%d, %d]", b.name, o.spec.name, c, x, bd, clo, chi)
 			}
 		case kHist:
-			var count uint64
+			var count, q99 uint64
 			var ranks [histValues]uint64
 			quiescentRead(b.held[1].h, o.h.Do, func(h approxobj.HistogramHandle) {
 				count = h.Count()
+				q99 = h.Quantile(0.99)
 				for i, v := range b.table {
 					ranks[i] = h.Rank(v)
 				}
@@ -331,6 +333,10 @@ func (b *bench) checkQuiescent(ck *checker) {
 				continue
 			}
 			b.checkRanks(ck, o, bd, ranks[:])
+			var issued [histValues]uint64
+			o.histIssued(&issued)
+			qlo, qhi := b.quantileEdges(&issued, tally, bd, 0.99)
+			ck.check(quantileWithin(q99, qlo, qhi, bd), "%s: quiescent histogram %s Quantile(0.99) = %d outside the bucket floors of [%d, %d]", b.name, o.spec.name, q99, qlo, qhi)
 		}
 	}
 }
@@ -350,12 +356,11 @@ func quiescentRead[H any](held H, do func(func(H)), f func(H)) {
 // counts every observation <= v and none above the top of v's bucket,
 // which is below Mult·v, less at most Buffer unflushed observations.
 func (b *bench) checkRanks(ck *checker, o *obj, bd approxobj.Bounds, ranks []uint64) {
+	var issued [histValues]uint64
+	o.histIssued(&issued)
 	var below [histValues + 1]uint64 // below[i]: observations of values table[:i]
-	for i := range b.table {
-		below[i+1] = below[i]
-		for w := range o.vals {
-			below[i+1] += o.vals[w][i]
-		}
+	for i, c := range issued {
+		below[i+1] = below[i] + c
 	}
 	upTo := func(x uint64) uint64 { // observations with value <= x
 		n := 0
@@ -371,4 +376,51 @@ func (b *bench) checkRanks(ck *checker, o *obj, bd approxobj.Bounds, ranks []uin
 		hi = max(hi, upTo(v))
 		ck.check(lo <= ranks[i] && ranks[i] <= hi, "%s: quiescent histogram %s Rank(%d) = %d outside [%d, %d]", b.name, o.spec.name, v, ranks[i], lo, hi)
 	}
+}
+
+// targetRank is the rank a q-quantile of n observations stands for:
+// ceil(q·n) clamped to [1, n], or 0 when n is 0.
+func targetRank(q float64, n uint64) uint64 {
+	if n == 0 {
+		return 0
+	}
+	return min(max(uint64(math.Ceil(q*float64(n))), 1), n)
+}
+
+// nth returns the r-th smallest (from 1) of the observations counted per
+// histValue in counts: 0 when r is 0, the largest when r exceeds them.
+func (b *bench) nth(counts *[histValues]uint64, r uint64) uint64 {
+	var seen, last uint64
+	for i, c := range counts {
+		if r == 0 || seen >= r {
+			break
+		}
+		if c > 0 {
+			seen, last = seen+c, b.table[i]
+		}
+	}
+	return last
+}
+
+// quantileEdges returns the range [lo, hi] of observed values a
+// histogram's q-quantile may stand for, given the observations issued
+// (loaded after the query) and the count done before it. The histogram
+// counts, bucket by bucket, a part of the issued observations holding at
+// least n = done − Buffer of them. The quantile's observation therefore
+// lies between the issued ones at rank targetRank(q, n) and at rank
+// targetRank(q, N) + N − n, where N is the number issued.
+func (b *bench) quantileEdges(issued *[histValues]uint64, done uint64, bd approxobj.Bounds, q float64) (lo, hi uint64) {
+	var all uint64
+	for _, c := range issued {
+		all += c
+	}
+	n := done - min(done, bd.Buffer)
+	return b.nth(issued, targetRank(q, n)), b.nth(issued, min(all, targetRank(q, all)+all-n))
+}
+
+// quantileWithin reports whether x, a Quantile result, is the bucket
+// floor of a value in [lo, hi]: at most the value and, since a bucket's
+// top is below Mult times its floor, more than a Mult-th of it.
+func quantileWithin(x, lo, hi uint64, bd approxobj.Bounds) bool {
+	return x <= hi && x*max(bd.Mult, 1) >= lo
 }

@@ -101,28 +101,47 @@ func commit() string {
 	return "unknown"
 }
 
-// setup builds the workload setupReps times and keeps the last build,
-// returning the median build time and the live heap the last build added.
+const (
+	setupSamples = 61   // setup_s is the median of this many samples
+	setupWarmup  = 5    // untimed samples before them
+	setupObjects = 1024 // objects a sample builds, in whole workloads
+)
+
+// setup returns the time one build of the workload takes and the live
+// heap a build adds, and leaves b built for the run. A sample times
+// enough builds for about setupObjects objects (4 builds of ingest or
+// scrape, 256 of dashboard), and setup_s is the median sample ÷ its
+// builds. Each build starts from a collected heap and is closed after,
+// outside the timed part. The collector is off while a build is timed,
+// so where a cycle would start does not move a sample; the allocations
+// themselves are timed.
 func setup(b *bench) (setupS, heapMB float64, err error) {
-	times := make([]float64, setupReps)
-	var ms runtime.MemStats
-	var heap0 uint64
-	for r := range times {
-		last := r == len(times)-1
-		runtime.GC() // every set-up starts from a collected heap
-		if last {
-			runtime.ReadMemStats(&ms)
-			heap0 = ms.HeapAlloc
-		}
-		t0 := time.Now()
-		if err := b.build(nil); err != nil {
-			return 0, 0, err
-		}
-		times[r] = time.Since(t0).Seconds()
-		if !last {
+	builds := max(1, setupObjects/len(b.specs))
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	var times []float64
+	for s := range setupWarmup + setupSamples {
+		var took int64
+		for range builds {
+			runtime.GC()
+			t0 := now()
+			if err := b.build(nil); err != nil {
+				return 0, 0, err
+			}
+			took += now() - t0
 			b.reg.Close()
 			b.reg, b.objs, b.bounds, b.held = nil, nil, nil, [procs]heldHandles{}
 		}
+		if s >= setupWarmup {
+			times = append(times, time.Duration(took).Seconds()/float64(builds))
+		}
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heap0 := ms.HeapAlloc
+	if err := b.build(nil); err != nil {
+		return 0, 0, err
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -141,6 +160,14 @@ func verify(b *bench, res *runResult) (attempted, failed uint64) {
 	return attempted, failed
 }
 
+func checkedScrapes(res *runResult) uint64 {
+	var n uint64
+	for _, w := range res.workers {
+		n += w.checked
+	}
+	return n
+}
+
 func merged(res *runResult) (wr, rd, sc recorder) {
 	for _, w := range res.workers {
 		wr.merge(&w.wr)
@@ -152,8 +179,9 @@ func merged(res *runResult) (wr, rd, sc recorder) {
 
 // windowed summarizes the run per window (see winLen): the medians over
 // the run's full windows of throughput and of the write and read
-// latency percentiles. A run shorter than one window is summarized
-// whole.
+// latency percentiles. A goroutine's share of a window's throughput is
+// its ops over the window's time less its side scrapes. A run shorter
+// than one window is summarized whole.
 func windowed(res *runResult) (opsPerS, w50, w99, r50, r99 float64, windows int) {
 	full := int(int64(res.elapsed) / winLen)
 	if full == 0 {
@@ -162,14 +190,17 @@ func windowed(res *runResult) (opsPerS, w50, w99, r50, r99 float64, windows int)
 	}
 	var ops, wp50, wp99, rp50, rp99 []float64
 	for i := range full {
-		var n uint64
+		var rate float64
 		var wr, rd recorder
 		for _, w := range res.workers {
-			n += w.win[i].ops
-			wr.merge(&w.win[i].wr)
-			rd.merge(&w.win[i].rd)
+			win := &w.win[i]
+			if busy := winLen - win.sideNs; busy > 0 {
+				rate += float64(win.ops) / time.Duration(busy).Seconds()
+			}
+			wr.merge(&win.wr)
+			rd.merge(&win.rd)
 		}
-		ops = append(ops, float64(n)/time.Duration(winLen).Seconds())
+		ops = append(ops, rate)
 		if wr.n > 0 {
 			wp50, wp99 = append(wp50, wr.quantile(0.5)), append(wp99, wr.quantile(0.99))
 		}
@@ -195,13 +226,21 @@ func runUntraced(cfg config, b *bench, desc *os.File) (*result, error) {
 	wr, rd, sc := merged(res)
 	ops := float64(res.userOps())
 	opsPerS, w50, w99, r50, r99, windows := windowed(res)
-	fmt.Fprintf(desc, "# samples write=%d read=%d scrape=%d setup=%d run_s=%.3f windows=%d\n", wr.n, rd.n, sc.n, setupReps, res.elapsed.Seconds(), windows)
+	fmt.Fprintf(desc, "# samples write=%d read=%d scrape=%d setup=%d run_s=%.3f windows=%d\n", wr.n, rd.n, sc.n, setupSamples, res.elapsed.Seconds(), windows)
+	for _, w := range res.workers {
+		if w.log != nil {
+			fmt.Fprintf(desc, "# goroutine %d side scrapes: %d, %.2f%% of its time, left out of ops_per_s\n", w.id, w.sc.n, 100*float64(w.sideNs)/float64(w.end-w.t0))
+		}
+	}
+	fmt.Fprintf(desc, "# allocs: %d in the timed phase, %.0f of them checking %d scrapes (left out of allocs_per_op)\n", res.mallocs, res.checkMallocs, checkedScrapes(res))
 	fmt.Fprintf(desc, "# whole-run ops_per_s=%.0f write_p50_ns=%.0f write_p99_ns=%.0f read_p50_ns=%.0f read_p99_ns=%.0f\n",
 		ops/res.elapsed.Seconds(), wr.quantile(0.5), wr.quantile(0.99), rd.quantile(0.5), rd.quantile(0.99))
-	// scrape_p99_ms is printed, not reported as a metric: across ten
-	// seeds on a 2-CPU VM its spread on ingest reached 0.26, too wide to
-	// gate with a 0.25 regression bound.
+	// scrape_p99_ms is printed, not reported as a metric: it rests on a
+	// run's two or three slowest scrapes, and across ten seeds on a 2-CPU
+	// VM its spread was too wide to gate with a 0.25 regression bound.
 	fmt.Fprintf(desc, "# ungated scrape_p99_ms=%.4f\n", sc.quantile(0.99)/1e6)
+	lo, hi := sc.medianInterval()
+	fmt.Fprintf(desc, "# scrape_p50_ms=%.4f, 95%% interval of the median [%.4f, %.4f] from %d scrapes\n", sc.quantile(0.5)/1e6, lo/1e6, hi/1e6, sc.n)
 	fmt.Fprintf(desc, "# error_rate=%g (%d failed of %d attempted)\n", float64(failed)/float64(max(attempted, 1)), failed, attempted)
 	m := map[string]metric{
 		"setup_s":       {setupS, "s"},
@@ -212,7 +251,7 @@ func runUntraced(cfg config, b *bench, desc *os.File) (*result, error) {
 		"read_p99_ns":   {r99, "ns"},
 		"scrape_p50_ms": {sc.quantile(0.5) / 1e6, "ms"},
 		"steps_per_op":  {float64(steps) / ops, "steps"},
-		"allocs_per_op": {float64(res.mallocs) / ops, "allocs"},
+		"allocs_per_op": {(float64(res.mallocs) - res.checkMallocs) / ops, "allocs"},
 		"heap_mb":       {heapMB, "MB"},
 	}
 	return &result{Correct: failed == 0, Attempted: attempted, Failed: failed, Metrics: m}, nil

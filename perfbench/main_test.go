@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"approxobj"
 )
 
 // TestSmoke runs every workload briefly, untraced and traced, and checks
@@ -73,5 +75,76 @@ func TestRecorderError(t *testing.T) {
 		if err := (got - float64(v)) / float64(v); err > 0.01 || err < -0.01 {
 			t.Fatalf("value %d reported as %g (relative error %.4f)", v, got, err)
 		}
+	}
+}
+
+// TestPooledOpAllocations pins the allocations of the benchmark's pooled
+// ops, getter included, at those of the same calls written directly, so
+// allocs_per_op counts the library's allocations, not the harness's.
+func TestPooledOpAllocations(t *testing.T) {
+	b, err := newBench("ingest", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.build(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer b.reg.Close()
+	w := b.newWorker(0, nil, time.Second)
+	w.t0 = now()
+	reg := b.reg
+	var x uint64
+	scan := make([]uint64, procs)
+	for k := range numKinds {
+		// The direct calls go to the kind's first object, the benchmark's
+		// ops (whose reads are checked against its tallies) to the second.
+		var js []int
+		for j, s := range b.specs {
+			if s.kind == k {
+				js = append(js, j)
+			}
+		}
+		o, j := b.objs[js[0]], js[1]
+		name, opts := o.spec.name, o.opts
+		var write, read func()
+		switch k {
+		case kCounter:
+			write = func() {
+				c, _ := reg.Counter(name, opts...)
+				c.Do(func(h approxobj.CounterHandle) { h.Inc() })
+			}
+			read = func() { o.c.Do(func(h approxobj.CounterHandle) { x = h.Read() }) }
+		case kMaxReg:
+			write = func() {
+				m, _ := reg.MaxRegister(name, opts...)
+				m.Do(func(h approxobj.MaxRegisterHandle) { h.Write(1) })
+			}
+			read = func() { o.m.Do(func(h approxobj.MaxRegisterHandle) { x = h.Read() }) }
+		case kSnapshot:
+			write = func() {
+				s, _ := reg.SnapshotObject(name, opts...)
+				s.Do(func(h approxobj.SnapshotHandle) { x++; h.Update(x) })
+			}
+			read = func() { o.s.Do(func(h approxobj.SnapshotHandle) { scan = h.ScanInto(scan) }) }
+		case kHist:
+			write = func() {
+				hg, _ := reg.HistogramObject(name, opts...)
+				hg.Do(func(h approxobj.HistogramHandle) { h.Observe(b.table[1]) })
+			}
+			read = func() { o.h.Do(func(h approxobj.HistogramHandle) { x = h.Quantile(0.99) }) }
+		}
+		direct := testing.AllocsPerRun(200, write)
+		got := testing.AllocsPerRun(200, func() { w.pooledWrite(j, 1, true) })
+		if got != direct {
+			t.Errorf("%s write: %v allocs per pooled op, %v per direct call", k, got, direct)
+		}
+		direct = testing.AllocsPerRun(200, read)
+		got = testing.AllocsPerRun(200, func() { w.pooledRead(j) })
+		if got != direct {
+			t.Errorf("%s read: %v allocs per pooled op, %v per direct call", k, got, direct)
+		}
+	}
+	if w.ck.failed != 0 {
+		t.Errorf("%d read checks failed", w.ck.failed)
 	}
 }

@@ -96,9 +96,27 @@ type obj struct {
 	h    *approxobj.Histogram
 
 	lanes [lanes]lane
-	// vals[w][i] counts writer w's observations of histValue i; each row
-	// is written only by its writer and read after the writers stop.
-	vals [lanes][]uint64
+	// vals[w][i] counts writer w's observations of histValue i, issued
+	// before the call like the lane's issued tally. Each row has one
+	// writer; checks load it during the run and after.
+	vals [lanes]*[histValues]atomic.Uint64
+}
+
+// observed counts writer w's observation of histValue i.
+func (o *obj) observed(w int, i uint64) {
+	c := &o.vals[w][i]
+	c.Store(c.Load() + 1) // one writer per row
+}
+
+// histIssued fills dst with the observations of each histValue issued
+// so far, over all writers.
+func (o *obj) histIssued(dst *[histValues]uint64) {
+	for i := range dst {
+		dst[i] = 0
+		for w := range o.vals {
+			dst[i] += o.vals[w][i].Load()
+		}
+	}
 }
 
 // register builds the object in reg through its typed getter.
@@ -114,7 +132,7 @@ func (o *obj) register(reg *approxobj.Registry) error {
 	case kHist:
 		o.h, err = reg.HistogramObject(o.spec.name, o.opts...)
 		for w := range o.vals {
-			o.vals[w] = make([]uint64, histValues)
+			o.vals[w] = new([histValues]atomic.Uint64)
 		}
 	}
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"math/bits"
 	"time"
 )
@@ -79,6 +80,14 @@ func (r *recorder) quantile(q float64) float64 {
 		seen += float64(c)
 	}
 	return recLo(recBuckets)
+}
+
+// medianInterval returns a 95% confidence interval of the median of the
+// recorded samples: the samples at ranks n/2 ± 0.98·√n (the binomial
+// interval in its normal approximation).
+func (r *recorder) medianInterval() (lo, hi float64) {
+	d := 0.98 / math.Sqrt(float64(max(r.n, 1)))
+	return r.quantile(max(0.5-d, 0)), r.quantile(min(0.5+d, 1))
 }
 
 // clockCost measures the cost of one clock read (now), the overhead
