@@ -48,8 +48,13 @@
 // envelope, so a read that starts allocating is a regression with no
 // tolerance, not timing noise. Records whose (scenario, params) only
 // exist on one side — e.g. sweep cells sized by GOMAXPROCS on a
-// different machine — are skipped; ns/op is never compared (timing is
-// machine noise).
+// different machine — are not compared, but the baseline cells missing
+// from this run are listed with their count; ns/op is never compared
+// (timing is machine noise). The baseline must come from a run of the
+// same mode: a baseline whose quick flag or seed differs from this
+// run's exits 1 before any experiment runs, because -quick sweeps
+// amortize steps differently and another seed drives other operation
+// sequences.
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (the heap profile is taken at exit, after every
@@ -207,6 +212,23 @@ func main() {
 		os.Exit(2)
 	}
 
+	var base resultFile
+	if *compare != "" {
+		data, err := os.ReadFile(*compare)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "approxbench: reading baseline %s: %v\n", *compare, err)
+			os.Exit(1)
+		}
+		if err := json.Unmarshal(data, &base); err != nil {
+			fmt.Fprintf(os.Stderr, "approxbench: parsing baseline %s: %v\n", *compare, err)
+			os.Exit(1)
+		}
+		if p := modeMismatch(base, *quick, *seed); p != "" {
+			fmt.Fprintf(os.Stderr, "approxbench: compare vs %s: %s\n", *compare, p)
+			os.Exit(1)
+		}
+	}
+
 	cfg := bench.Config{Quick: *quick, Seed: *seed}
 	out := resultFile{Quick: *quick, Seed: *seed, Records: []bench.Record{}}
 	for _, exp := range all {
@@ -252,16 +274,6 @@ func main() {
 		fmt.Printf("# wrote %d records to %s\n", len(out.Records), *jsonOut)
 	}
 	if *compare != "" {
-		data, err := os.ReadFile(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "approxbench: reading baseline %s: %v\n", *compare, err)
-			os.Exit(1)
-		}
-		var base resultFile
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "approxbench: parsing baseline %s: %v\n", *compare, err)
-			os.Exit(1)
-		}
 		// On a full run, every baseline scenario must reappear (one dropped
 		// from the experiment table is a lost trajectory). On an -exp
 		// subset, only scenarios the selected experiments declare are in
@@ -278,7 +290,13 @@ func main() {
 			}
 			inScope = func(sc string) bool { return ran[sc] }
 		}
-		problems := compareRecords(base.Records, out.Records, *compareTol, inScope)
+		problems, missing := compareRecords(base.Records, out.Records, *compareTol, inScope)
+		if len(missing) > 0 {
+			fmt.Printf("# compare: %d baseline cells missing from this run (not compared):\n", len(missing))
+			for _, k := range missing {
+				fmt.Printf("#   %s\n", k)
+			}
+		}
 		if len(problems) > 0 {
 			for _, p := range problems {
 				fmt.Fprintf(os.Stderr, "approxbench: compare vs %s: %s\n", *compare, p)
@@ -362,14 +380,24 @@ func recordKey(r bench.Record) string {
 	return b.String()
 }
 
+// modeMismatch explains why a baseline's records are not comparable
+// with a run of the given mode, or returns "" when they are.
+func modeMismatch(base resultFile, quick bool, seed int64) string {
+	if base.Quick == quick && base.Seed == seed {
+		return ""
+	}
+	return fmt.Sprintf("baseline was recorded with -quick=%t -seed %d but this run uses -quick=%t -seed %d; compare against a baseline of the same mode",
+		base.Quick, base.Seed, quick, seed)
+}
+
 // compareRecords diffs a run's records against a baseline: every
 // baseline scenario inScope must be present, and cells matched by
 // (scenario, params) must not regress beyond tol percent on any envelope
-// term or on steps/op. Cells present on only one side are skipped —
-// sweep coordinates can legitimately differ between machines — and
-// ns/op is never compared.
-func compareRecords(baseline, current []bench.Record, tol float64, inScope func(string) bool) []string {
-	var problems []string
+// term or on steps/op. Baseline cells inScope with no match in this run
+// are returned as missing — sweep coordinates can legitimately differ
+// between machines, so they are reported, not failed — and ns/op is
+// never compared.
+func compareRecords(baseline, current []bench.Record, tol float64, inScope func(string) bool) (problems, missing []string) {
 	curScenarios := map[string]bool{}
 	curByKey := map[string]bench.Record{}
 	for _, r := range current {
@@ -386,6 +414,9 @@ func compareRecords(baseline, current []bench.Record, tol float64, inScope func(
 		}
 		n, ok := curByKey[recordKey(o)]
 		if !ok {
+			if inScope(o.Scenario) {
+				missing = append(missing, recordKey(o))
+			}
 			continue
 		}
 		// regressed reports whether a value grew beyond the tolerance.
@@ -444,5 +475,5 @@ func compareRecords(baseline, current []bench.Record, tol float64, inScope func(
 				recordKey(o), o.AllocsPerRead, n.AllocsPerRead))
 		}
 	}
-	return problems
+	return problems, missing
 }

@@ -70,7 +70,10 @@ func TestCompareRecordsAccumulatesAllProblems(t *testing.T) {
 		{Scenario: "A", Params: map[string]string{"k": "1"}, Envelope: &bench.RecordEnvelope{Mult: 4, Window: 2000, Delta: 0.05}},
 		{Scenario: "B", Params: map[string]string{"k": "1"}, StepsPerOp: 100},
 	}
-	problems := compareRecords(baseline, current, 50, func(string) bool { return true })
+	problems, missing := compareRecords(baseline, current, 50, func(string) bool { return true })
+	if len(missing) != 1 || missing[0] != "GONE|k=1" {
+		t.Errorf("missing cells = %v, want [GONE|k=1]", missing)
+	}
 	if len(problems) != 5 {
 		t.Fatalf("want 5 problems (missing scenario, Mult, Window, Delta, steps), got %d:\n%s",
 			len(problems), strings.Join(problems, "\n"))
@@ -101,7 +104,44 @@ func TestCompareRecordsClean(t *testing.T) {
 	recs := []bench.Record{
 		{Scenario: "A", Params: map[string]string{"k": "1"}, Envelope: &bench.RecordEnvelope{Mult: 2, Stale: 5, Window: 7}, StepsPerOp: 3},
 	}
-	if problems := compareRecords(recs, recs, 50, func(string) bool { return true }); len(problems) != 0 {
-		t.Fatalf("identical records flagged: %v", problems)
+	if problems, missing := compareRecords(recs, recs, 50, func(string) bool { return true }); len(problems) != 0 || len(missing) != 0 {
+		t.Fatalf("identical records flagged: problems %v, missing %v", problems, missing)
+	}
+}
+
+// TestCompareRecordsListsMissingCells checks that baseline cells absent
+// from this run are reported, not skipped silently, and that cells of
+// scenarios outside the run's scope are left out of the list.
+func TestCompareRecordsListsMissingCells(t *testing.T) {
+	baseline := []bench.Record{
+		{Scenario: "A", Params: map[string]string{"n": "2"}},
+		{Scenario: "A", Params: map[string]string{"n": "64"}},
+		{Scenario: "B", Params: map[string]string{"n": "64"}},
+	}
+	current := []bench.Record{{Scenario: "A", Params: map[string]string{"n": "2"}}}
+	problems, missing := compareRecords(baseline, current, 50, func(sc string) bool { return sc == "A" })
+	if len(problems) != 0 {
+		t.Errorf("unexpected problems: %v", problems)
+	}
+	if len(missing) != 1 || missing[0] != "A|n=64" {
+		t.Errorf("missing cells = %v, want [A|n=64]", missing)
+	}
+}
+
+// TestModeMismatch checks that -compare refuses a baseline recorded in
+// another mode: a different quick flag or seed makes the records
+// incomparable, whatever they contain.
+func TestModeMismatch(t *testing.T) {
+	base := resultFile{Quick: true, Seed: 0}
+	if p := modeMismatch(base, true, 0); p != "" {
+		t.Errorf("same mode rejected: %s", p)
+	}
+	for _, tc := range []struct {
+		quick bool
+		seed  int64
+	}{{false, 0}, {true, 1}, {false, 7}} {
+		if p := modeMismatch(base, tc.quick, tc.seed); p == "" {
+			t.Errorf("baseline -quick=true -seed 0 accepted for a run with -quick=%t -seed %d", tc.quick, tc.seed)
+		}
 	}
 }

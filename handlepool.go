@@ -1,113 +1,201 @@
 package approxobj
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"approxobj/internal/pool"
+	"approxobj/internal/shard"
 )
 
-// This file implements the pooled side of handle management: every object
-// owns a free list (internal/pool) of its process slots, and goroutines
-// borrow exclusive handles from it instead of computing slot indices.
-// Slot ownership transfers through the pool's channel, which also gives
-// the happens-before edge that lets successive owners reuse a slot's
-// cached handle (and its persistent per-process algorithm state) without
-// extra synchronization. All three families share the slot-ownership and
-// step-accounting logic through the generic slotPool below; each family
-// contributes only its typed Acquire/TryAcquire/Do wrappers and its
-// pooled handle type.
+// This file holds what the four object kinds share: the spec, the shard
+// runtime behind the object, and the pooled side of handle management.
+// Every object owns a free list (internal/pool) of its process slots,
+// and goroutines borrow exclusive handles from it instead of computing
+// slot indices. Slot ownership transfers through the pool's channel,
+// which also gives the happens-before edge that lets successive owners
+// reuse a slot's cached handle (and its persistent per-process
+// algorithm state) without extra synchronization. Counter, MaxRegister,
+// Snapshot and Histogram embed base; each contributes only its typed
+// Acquire/TryAcquire/Do/Handle facades, its read-side methods, and the
+// constructor that picks a cumulative or a windowed runtime.
 
-// retirable is a pooled handle: retire flushes its buffered mutations
-// and credits its steps-since-last-retire to the object's retired-step
-// counter.
-type retirable interface {
+// shardRuntime is the kind-agnostic surface of a built shard runtime.
+// Every kind's cumulative and windowed objects in internal/shard
+// satisfy it; the windowed ones add Reset.
+type shardRuntime interface {
+	Bounds() shard.Bounds
+	BaseObjects() uint64
+	Close()
+}
+
+// slotHandle is what the pool needs from a kind's handle type: release
+// flushes it and credits its steps. Every Batched*Handle satisfies it.
+type slotHandle interface {
 	comparable
-	retire(credit *atomic.Uint64)
+	Flush()
+	Steps() uint64
 }
 
-// slotPool is the pooled-handle plumbing every object family embeds: the
-// slot free list, the per-slot handle cache, and retired-step
-// accounting.
-type slotPool[H retirable] struct {
+// poolSlot is one process slot's pool state.
+type poolSlot[H slotHandle] struct {
+	gen      atomic.Uint64 // lease generation (see lease)
+	h        H             // the slot's handle, built on first lease
+	credited uint64        // h's steps already added to the retired counter
+}
+
+// base is the shared core of every public object: its spec, its shard
+// runtime, the slot pool of cached handles of type H, and the registry's
+// snapshot handle.
+type base[H slotHandle] struct {
+	spec Spec
+	rt   shardRuntime
+	bind func(i int) H // binds process slot i on rt
+
 	free    *pool.Pool
-	handles []H              // lazily built, one per pool slot
-	gens    []atomic.Uint64  // per-slot lease generation (see lease)
-	mk      func(slot int) H // builds a slot's handle on first lease
-	retired atomic.Uint64    // steps credited by released pooled handles
+	slots   []poolSlot[H]
+	retired atomic.Uint64 // steps credited by released pooled handles
+
+	snap H // registry snapshot handle (slot procs), zero when unregistered
 }
 
-// init sizes the pool in place (slotPool embeds an atomic and must not
-// be copied once in use) and binds the owning object's handle
-// constructor, so the acquisition hot path allocates no closures.
-func (p *slotPool[H]) init(slots int, mk func(slot int) H) {
-	p.free = pool.New(slots)
-	p.handles = make([]H, slots)
-	p.gens = make([]atomic.Uint64, slots)
-	p.mk = mk
+// init wires a built runtime into the object (in place: base holds
+// atomics and must not be copied once in use). bind is the runtime's
+// typed Handle, adapted to H.
+func (b *base[H]) init(spec Spec, rt shardRuntime, bind func(i int) H) {
+	b.spec, b.rt, b.bind = spec, rt, bind
+	b.free = pool.New(spec.procs)
+	b.slots = make([]poolSlot[H], spec.procs)
+	instrumentObject(spec, b.free, rt.BaseObjects)
+	if spec.snapshotSlot {
+		b.snap = bind(spec.procs)
+	}
+}
+
+// Spec returns the validated spec the object was built from.
+func (b *base[H]) Spec() Spec { return b.spec }
+
+// N returns the number of process slots available to callers (for a
+// snapshot, also its number of components).
+func (b *base[H]) N() int { return b.spec.procs }
+
+// Accuracy returns the accuracy selection.
+func (b *base[H]) Accuracy() Accuracy { return b.spec.acc }
+
+// Shards returns the shard count.
+func (b *base[H]) Shards() int { return b.spec.shards }
+
+// Batch returns the per-handle buffer size B (1 means unbuffered): the
+// increment batch of a counter, the write-elision window of a max
+// register, the component-elision window of a snapshot, and the
+// observation buffer of a histogram.
+func (b *base[H]) Batch() uint64 { return uint64(b.spec.batch) }
+
+// BaseObjects returns the number of base objects (registers, TAS
+// instances) the object has allocated across its shards — and, for
+// windowed objects, its live epoch ring. It is the object's space cost
+// in the paper's model; the frontier bench (E19) reports it to compare
+// deterministic and randomized state at equal target error.
+func (b *base[H]) BaseObjects() uint64 { return b.rt.BaseObjects() }
+
+// Close stops the object's background goroutines — the read cache's
+// combiner when WithReadCache is set, and the epoch rotator when
+// WithWindow is set (the window freezes: no further aging; reads keep
+// serving the frozen ring and Reset returns an error). Idempotent, and
+// a no-op otherwise; handles stay usable afterwards (cached reads
+// refresh inline).
+func (b *base[H]) Close() { b.rt.Close() }
+
+// Reset replaces the whole window with fresh epochs — the object
+// restarts empty. Only windowed objects (WithWindow) support it; it is
+// an error otherwise, and after Close. Reset is not atomic with
+// concurrent mutations: a mutation racing it lands on either side,
+// exactly like a mutation racing a rotation.
+func (b *base[H]) Reset() error {
+	w, ok := b.rt.(interface{ Reset() error })
+	if !ok {
+		return fmt.Errorf("approxobj: Reset needs a windowed %s (WithWindow); this one is cumulative", descriptorOf(b.spec.kind).name)
+	}
+	return w.Reset()
+}
+
+// StepsRetired returns the cumulative shared-memory steps credited by
+// released pooled handles. Steps of handles still held, or of manual
+// Handle(i) handles, are not included (their counters are owned by the
+// holding goroutine and cannot be read safely mid-flight).
+func (b *base[H]) StepsRetired() uint64 { return b.retired.Load() }
+
+// bounds is the runtime's envelope, corrected for the registry's
+// snapshot slot (see scaledBounds).
+func (b *base[H]) bounds() Bounds { return scaledBounds(b.rt.Bounds(), b.spec) }
+
+// snapshotBounds, snapshotSteps, and snapshotDetail are the registry's
+// instance view for kinds whose exported value is a single scalar read;
+// Snapshot and Histogram override the first and the last.
+func (b *base[H]) snapshotBounds() Bounds           { return b.bounds() }
+func (b *base[H]) snapshotSteps() uint64            { return b.snap.Steps() }
+func (b *base[H]) snapshotDetail() *HistogramDetail { return nil }
+
+// handle binds slot i for a caller managing slot assignment itself.
+func (b *base[H]) handle(i int) H {
+	if i < 0 || i >= b.spec.procs {
+		panic(fmt.Sprintf("approxobj: %s handle slot out of range", descriptorOf(b.spec.kind).name))
+	}
+	return b.bind(i)
 }
 
 // acquire borrows a slot (blocking) and leases its handle.
-func (p *slotPool[H]) acquire() (H, func()) {
-	return p.lease(p.free.Acquire())
-}
+func (b *base[H]) acquire() (H, func()) { return b.lease(b.free.Acquire()) }
 
-// tryAcquire is acquire without blocking; ok is false when every slot is
-// held.
-func (p *slotPool[H]) tryAcquire() (h H, release func(), ok bool) {
-	slot, ok := p.free.TryAcquire()
+// tryAcquire is acquire without blocking; ok is false (and h the zero
+// H) when every slot is held.
+func (b *base[H]) tryAcquire() (h H, release func(), ok bool) {
+	i, ok := b.free.TryAcquire()
 	if !ok {
 		return h, nil, false
 	}
-	h, release = p.lease(slot)
+	h, release = b.lease(i)
 	return h, release, true
 }
 
-// lease hands out slot's cached handle, building it on first use (safe
-// without a lock — the pool hands each slot to one goroutine at a
+// do runs f with a pooled handle, releasing it when f returns.
+func (b *base[H]) do(f func(H)) {
+	h, release := b.acquire()
+	defer release()
+	f(h)
+}
+
+// lease hands out slot i's cached handle, building it on first use
+// (safe without a lock — the pool hands each slot to one goroutine at a
 // time, and releases happen-before the next acquire), and returns it
-// with an idempotent release that retires the handle (flushing and
-// step-crediting) and frees the slot.
+// with an idempotent release that flushes the handle, credits its steps
+// since the slot's last release, and frees the slot.
 //
 // The idempotence guard is the slot's monotonic generation counter:
 // each lease bumps it to g and release succeeds only by advancing g to
 // g+1, so a cleanup path racing the owner's deferred release cannot
-// retire the handle twice or duplicate the slot in the free list — and
+// credit the handle twice or duplicate the slot in the free list — and
 // a stale closure surviving past a re-lease can never succeed either
 // (the generation has moved past g for good). Sharing the guard with
 // the slot keeps the acquisition hot path to one allocation (the
-// release closure itself) instead of two.
-func (p *slotPool[H]) lease(slot int) (H, func()) {
-	h := p.handles[slot]
-	if isNil(h) {
-		h = p.mk(slot)
-		p.handles[slot] = h
+// release closure itself).
+func (b *base[H]) lease(i int) (H, func()) {
+	s := &b.slots[i]
+	var zero H
+	if s.h == zero {
+		s.h = b.bind(i)
 	}
-	gen := &p.gens[slot]
-	g := gen.Add(1)
-	return h, func() {
-		if !gen.CompareAndSwap(g, g+1) {
+	g := s.gen.Add(1)
+	return s.h, func() {
+		if !s.gen.CompareAndSwap(g, g+1) {
 			return
 		}
-		h.retire(&p.retired)
-		p.free.Release(slot)
+		s.h.Flush()
+		steps := s.h.Steps()
+		b.retired.Add(steps - s.credited)
+		s.credited = steps
+		b.free.Release(i)
 	}
-}
-
-// stepsRetired returns the cumulative steps credited by released pooled
-// handles.
-func (p *slotPool[H]) stepsRetired() uint64 { return p.retired.Load() }
-
-func isNil[H comparable](h H) bool {
-	var zero H
-	return h == zero
-}
-
-// creditSteps retires one pooled handle's step delta into the object's
-// retired counter: handles survive across acquisitions, so only the
-// steps since the last retire are added.
-func creditSteps(credit *atomic.Uint64, steps uint64, credited *uint64) {
-	credit.Add(steps - *credited)
-	*credited = steps
 }
 
 // Acquire borrows an exclusive handle from the counter's slot pool,
@@ -117,54 +205,15 @@ func creditSteps(credit *atomic.Uint64, steps uint64, credited *uint64) {
 // it is idempotent. The handle must not be used after release. Steps()
 // on a pooled handle is cumulative over every previous owner of its
 // slot — cost individual operations as a before/after delta.
-func (c *Counter) Acquire() (CounterHandle, func()) {
-	return c.slots.acquire()
-}
+func (c *Counter) Acquire() (CounterHandle, func()) { return c.acquire() }
 
 // TryAcquire is Acquire without blocking: ok is false (and the handle and
 // release are nil) when every slot is currently held.
-func (c *Counter) TryAcquire() (h CounterHandle, release func(), ok bool) {
-	ph, release, ok := c.slots.tryAcquire()
-	if !ok {
-		return nil, nil, false
-	}
-	return ph, release, true
-}
+func (c *Counter) TryAcquire() (h CounterHandle, release func(), ok bool) { return c.tryAcquire() }
 
 // Do runs f with a pooled handle, releasing it (and flushing batched
 // increments) when f returns. It blocks until a slot is free.
-func (c *Counter) Do(f func(CounterHandle)) {
-	h, release := c.Acquire()
-	defer release()
-	f(h)
-}
-
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles. Steps of handles still held, or of manual
-// Handle(i) handles, are not included (their counters are owned by the
-// holding goroutine and cannot be read safely mid-flight).
-func (c *Counter) StepsRetired() uint64 { return c.slots.stepsRetired() }
-
-func (c *Counter) newPooledHandle(slot int) *pooledCounterHandle {
-	return &pooledCounterHandle{h: c.runtimeHandle(slot)}
-}
-
-// pooledCounterHandle wraps a slot's underlying handle with step
-// accounting across acquisitions. It implements BatchedCounterHandle.
-type pooledCounterHandle struct {
-	h        counterRT
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledCounterHandle) Inc()          { h.h.Inc() }
-func (h *pooledCounterHandle) Read() uint64  { return h.h.Read() }
-func (h *pooledCounterHandle) Steps() uint64 { return h.h.Steps() }
-func (h *pooledCounterHandle) Flush()        { h.h.Flush() }
-
-func (h *pooledCounterHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
-}
+func (c *Counter) Do(f func(CounterHandle)) { c.do(func(h BatchedCounterHandle) { f(h) }) }
 
 // Acquire borrows an exclusive handle from the register's slot pool,
 // blocking until a slot is free. The returned release function flushes
@@ -173,52 +222,17 @@ func (h *pooledCounterHandle) retire(credit *atomic.Uint64) {
 // it is idempotent. The handle must not be used after release. Steps()
 // on a pooled handle is cumulative over every previous owner of its slot
 // — cost individual operations as a before/after delta.
-func (r *MaxRegister) Acquire() (MaxRegisterHandle, func()) {
-	return r.slots.acquire()
-}
+func (r *MaxRegister) Acquire() (MaxRegisterHandle, func()) { return r.acquire() }
 
 // TryAcquire is Acquire without blocking: ok is false (and the handle and
 // release are nil) when every slot is currently held.
 func (r *MaxRegister) TryAcquire() (h MaxRegisterHandle, release func(), ok bool) {
-	ph, release, ok := r.slots.tryAcquire()
-	if !ok {
-		return nil, nil, false
-	}
-	return ph, release, true
+	return r.tryAcquire()
 }
 
 // Do runs f with a pooled handle, releasing it (and flushing elided
 // writes) when f returns. It blocks until a slot is free.
-func (r *MaxRegister) Do(f func(MaxRegisterHandle)) {
-	h, release := r.Acquire()
-	defer release()
-	f(h)
-}
-
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles (see Counter.StepsRetired).
-func (r *MaxRegister) StepsRetired() uint64 { return r.slots.stepsRetired() }
-
-func (r *MaxRegister) newPooledHandle(slot int) *pooledMaxRegHandle {
-	return &pooledMaxRegHandle{h: r.runtimeHandle(slot)}
-}
-
-// pooledMaxRegHandle wraps a slot's underlying handle with step
-// accounting across acquisitions. It implements BatchedMaxRegisterHandle.
-type pooledMaxRegHandle struct {
-	h        maxRegRT
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledMaxRegHandle) Write(v uint64) { h.h.Write(v) }
-func (h *pooledMaxRegHandle) Read() uint64   { return h.h.Read() }
-func (h *pooledMaxRegHandle) Steps() uint64  { return h.h.Steps() }
-func (h *pooledMaxRegHandle) Flush()         { h.h.Flush() }
-
-func (h *pooledMaxRegHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
-}
+func (r *MaxRegister) Do(f func(MaxRegisterHandle)) { r.do(func(h BatchedMaxRegisterHandle) { f(h) }) }
 
 // Acquire borrows an exclusive handle from the snapshot's slot pool,
 // blocking until a slot is free: the handle is the single writer of the
@@ -229,58 +243,15 @@ func (h *pooledMaxRegHandle) retire(credit *atomic.Uint64) {
 // after release. Steps() on a pooled handle is cumulative over every
 // previous owner of its slot — cost individual operations as a
 // before/after delta.
-func (s *Snapshot) Acquire() (SnapshotHandle, func()) {
-	return s.slots.acquire()
-}
+func (s *Snapshot) Acquire() (SnapshotHandle, func()) { return s.acquire() }
 
 // TryAcquire is Acquire without blocking: ok is false (and the handle and
 // release are nil) when every slot is currently held.
-func (s *Snapshot) TryAcquire() (h SnapshotHandle, release func(), ok bool) {
-	ph, release, ok := s.slots.tryAcquire()
-	if !ok {
-		return nil, nil, false
-	}
-	return ph, release, true
-}
+func (s *Snapshot) TryAcquire() (h SnapshotHandle, release func(), ok bool) { return s.tryAcquire() }
 
 // Do runs f with a pooled handle, releasing it (and flushing any elided
 // component update) when f returns. It blocks until a slot is free.
-func (s *Snapshot) Do(f func(SnapshotHandle)) {
-	h, release := s.Acquire()
-	defer release()
-	f(h)
-}
-
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles (see Counter.StepsRetired).
-func (s *Snapshot) StepsRetired() uint64 { return s.slots.stepsRetired() }
-
-func (s *Snapshot) newPooledHandle(slot int) *pooledSnapshotHandle {
-	return &pooledSnapshotHandle{h: s.runtimeHandle(slot), n: s.spec.procs}
-}
-
-// pooledSnapshotHandle wraps a slot's underlying handle with step
-// accounting across acquisitions, truncating scans to the caller-visible
-// components. It implements BatchedSnapshotHandle.
-type pooledSnapshotHandle struct {
-	h        snapshotRT
-	n        int
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledSnapshotHandle) Update(v uint64) { h.h.Update(v) }
-func (h *pooledSnapshotHandle) Scan() []uint64  { return h.h.Scan()[:h.n] }
-func (h *pooledSnapshotHandle) ScanInto(dst []uint64) []uint64 {
-	return h.h.ScanInto(dst)[:h.n]
-}
-func (h *pooledSnapshotHandle) Component() int { return h.h.Component() }
-func (h *pooledSnapshotHandle) Steps() uint64  { return h.h.Steps() }
-func (h *pooledSnapshotHandle) Flush()         { h.h.Flush() }
-
-func (h *pooledSnapshotHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
-}
+func (s *Snapshot) Do(f func(SnapshotHandle)) { s.do(func(h BatchedSnapshotHandle) { f(h) }) }
 
 // Acquire borrows an exclusive handle from the histogram's slot pool,
 // blocking until a slot is free. The returned release function flushes
@@ -289,44 +260,12 @@ func (h *pooledSnapshotHandle) retire(credit *atomic.Uint64) {
 // it is idempotent. The handle must not be used after release. Steps()
 // on a pooled handle is cumulative over every previous owner of its
 // slot — cost individual operations as a before/after delta.
-func (h *Histogram) Acquire() (HistogramHandle, func()) {
-	return h.slots.acquire()
-}
+func (h *Histogram) Acquire() (HistogramHandle, func()) { return h.acquire() }
 
 // TryAcquire is Acquire without blocking: ok is false (and the handle and
 // release are nil) when every slot is currently held.
-func (h *Histogram) TryAcquire() (hh HistogramHandle, release func(), ok bool) {
-	ph, release, ok := h.slots.tryAcquire()
-	if !ok {
-		return nil, nil, false
-	}
-	return ph, release, true
-}
+func (h *Histogram) TryAcquire() (hh HistogramHandle, release func(), ok bool) { return h.tryAcquire() }
 
 // Do runs f with a pooled handle, releasing it (and flushing buffered
 // observations) when f returns. It blocks until a slot is free.
-func (h *Histogram) Do(f func(HistogramHandle)) {
-	hh, release := h.Acquire()
-	defer release()
-	f(hh)
-}
-
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles (see Counter.StepsRetired).
-func (h *Histogram) StepsRetired() uint64 { return h.slots.stepsRetired() }
-
-func (h *Histogram) newPooledHandle(slot int) *pooledHistogramHandle {
-	return &pooledHistogramHandle{histSlotHandle: histSlotHandle{h: h.runtimeHandle(slot), bk: h.bk}}
-}
-
-// pooledHistogramHandle wraps a slot's underlying handle with step
-// accounting across acquisitions. It implements BatchedHistogramHandle.
-type pooledHistogramHandle struct {
-	histSlotHandle
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledHistogramHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
-}
+func (h *Histogram) Do(f func(HistogramHandle)) { h.do(func(hh BatchedHistogramHandle) { f(hh) }) }

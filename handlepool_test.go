@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestHandlePoolSoak churns Acquire/release on a batched counter from far
@@ -54,46 +55,169 @@ func TestHandlePoolSoak(t *testing.T) {
 	}
 }
 
-// TestTryAcquireExhaustion checks the non-blocking path: with every slot
-// held, TryAcquire reports failure instead of deadlocking; releasing one
-// slot makes it succeed again.
-func TestTryAcquireExhaustion(t *testing.T) {
-	c, err := NewCounter(WithProcs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rel1, ok := c.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire failed on a fresh pool")
-	}
-	_, rel2, ok := c.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire failed with one of two slots held")
-	}
-	if _, _, ok := c.TryAcquire(); ok {
-		t.Fatal("TryAcquire succeeded with every slot held")
-	}
-	rel1()
-	h, rel3, ok := c.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire failed after a release")
-	}
-	h.Inc()
-	rel3()
-	rel2()
+// leased is one pooled handle reduced to what TestPoolContract drives:
+// a mutation, Flush, Steps, and the release function. h is the handle
+// itself (nil when TryAcquire failed).
+type leased struct {
+	h       any
+	mutate  func()
+	flush   func()
+	steps   func() uint64
+	release func()
+}
 
-	r, err := NewMaxRegister(WithProcs(1))
-	if err != nil {
-		t.Fatal(err)
+// pooledObject is one object kind's pool surface, behind closures so a
+// single table can drive all four kinds.
+type pooledObject struct {
+	n            int
+	tryAcquire   func() (leased, bool)
+	handle       func(i int)
+	stepsRetired func() uint64
+	close        func()
+}
+
+// TestPoolContract checks the pool contract every kind shares, for each
+// kind cumulative and windowed: an exhausted TryAcquire returns a nil
+// handle, a nil release and false; a double release credits steps once
+// and frees the slot once; StepsRetired is the sum over releases of each
+// handle's steps since its slot's previous release; Handle panics out of
+// range.
+func TestPoolContract(t *testing.T) {
+	var v uint64 // mutation values, rising so every write moves the object
+	next := func() uint64 { v++; return v }
+	kinds := []struct {
+		name  string
+		opts  []Option
+		build func(opts []Option) (pooledObject, error)
+	}{
+		{"counter", nil, func(opts []Option) (pooledObject, error) {
+			c, err := NewCounter(opts...)
+			if err != nil {
+				return pooledObject{}, err
+			}
+			return pooledObject{c.N(), func() (leased, bool) {
+				h, rel, ok := c.TryAcquire()
+				if !ok {
+					return leased{h: h, release: rel}, false
+				}
+				return leased{h, h.Inc, h.(BatchedCounterHandle).Flush, h.Steps, rel}, true
+			}, func(i int) { c.Handle(i) }, c.StepsRetired, c.Close}, nil
+		}},
+		{"max-register", nil, func(opts []Option) (pooledObject, error) {
+			r, err := NewMaxRegister(opts...)
+			if err != nil {
+				return pooledObject{}, err
+			}
+			return pooledObject{r.N(), func() (leased, bool) {
+				h, rel, ok := r.TryAcquire()
+				if !ok {
+					return leased{h: h, release: rel}, false
+				}
+				return leased{h, func() { h.Write(next()) }, h.(BatchedMaxRegisterHandle).Flush, h.Steps, rel}, true
+			}, func(i int) { r.Handle(i) }, r.StepsRetired, r.Close}, nil
+		}},
+		{"snapshot", nil, func(opts []Option) (pooledObject, error) {
+			s, err := NewSnapshot(opts...)
+			if err != nil {
+				return pooledObject{}, err
+			}
+			return pooledObject{s.N(), func() (leased, bool) {
+				h, rel, ok := s.TryAcquire()
+				if !ok {
+					return leased{h: h, release: rel}, false
+				}
+				return leased{h, func() { h.Update(next()) }, h.(BatchedSnapshotHandle).Flush, h.Steps, rel}, true
+			}, func(i int) { s.Handle(i) }, s.StepsRetired, s.Close}, nil
+		}},
+		{"histogram", []Option{WithAccuracy(Multiplicative(2))}, func(opts []Option) (pooledObject, error) {
+			hg, err := NewHistogram(opts...)
+			if err != nil {
+				return pooledObject{}, err
+			}
+			return pooledObject{hg.N(), func() (leased, bool) {
+				h, rel, ok := hg.TryAcquire()
+				if !ok {
+					return leased{h: h, release: rel}, false
+				}
+				return leased{h, func() { h.Observe(next()) }, h.(BatchedHistogramHandle).Flush, h.Steps, rel}, true
+			}, func(i int) { hg.Handle(i) }, hg.StepsRetired, hg.Close}, nil
+		}},
 	}
-	_, relM, ok := r.TryAcquire()
-	if !ok {
-		t.Fatal("max register TryAcquire failed on a fresh pool")
+	for _, k := range kinds {
+		for _, windowed := range []bool{false, true} {
+			name := k.name + "/cumulative"
+			opts := append([]Option{WithProcs(2), WithBatch(4)}, k.opts...)
+			if windowed {
+				name = k.name + "/windowed"
+				opts = append(opts, WithWindow(time.Hour, 4))
+			}
+			t.Run(name, func(t *testing.T) {
+				o, err := k.build(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer o.close()
+				mustAcquire := func() leased {
+					t.Helper()
+					l, ok := o.tryAcquire()
+					if !ok || l.h == nil || l.release == nil {
+						t.Fatalf("TryAcquire with a free slot: handle %v, ok %v", l.h, ok)
+					}
+					return l
+				}
+				credited := map[any]uint64{} // steps credited per cached handle
+				var want uint64
+				// use mutates through l, then double-releases it: only the
+				// first release may credit the steps since the previous one.
+				use := func(l leased, ops int) {
+					t.Helper()
+					for i := 0; i < ops; i++ {
+						l.mutate()
+					}
+					l.flush()
+					steps := l.steps()
+					want += steps - credited[l.h]
+					credited[l.h] = steps
+					l.release()
+					l.release()
+					if got := o.stepsRetired(); got != want {
+						t.Fatalf("StepsRetired = %d, want %d (the released handles' step deltas)", got, want)
+					}
+				}
+
+				a, b := mustAcquire(), mustAcquire()
+				if l, ok := o.tryAcquire(); ok || l.h != nil || l.release != nil {
+					t.Fatalf("exhausted TryAcquire = (%v, release set %v, %v), want (nil, false, false)", l.h, l.release != nil, ok)
+				}
+				use(a, 7)
+				// The double release freed a's slot once: one TryAcquire
+				// gets it, the next finds the pool exhausted again.
+				c := mustAcquire()
+				if _, ok := o.tryAcquire(); ok {
+					t.Fatal("double release put its slot in the free list twice")
+				}
+				use(c, 5)
+				use(b, 9)
+				for round := 0; round < 3; round++ {
+					use(mustAcquire(), round+1)
+				}
+				if want == 0 {
+					t.Fatal("released handles credited no steps")
+				}
+
+				for _, i := range []int{-1, o.n} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("Handle(%d) did not panic (N = %d)", i, o.n)
+							}
+						}()
+						o.handle(i)
+					}()
+				}
+			})
+		}
 	}
-	if _, _, ok := r.TryAcquire(); ok {
-		t.Fatal("max register TryAcquire succeeded with every slot held")
-	}
-	relM()
 }
 
 // TestDoBlocksUntilFree pins Do's blocking contract: a Do issued while

@@ -127,15 +127,8 @@ func checkExactHistogram(s Spec) error {
 // its accuracy envelope via Bounds; unlike them its read side is a query
 // engine (see HistogramHandle).
 type Histogram struct {
-	spec Spec
-	bk   histogram.Buckets
-	h    *shard.Histogram         // cumulative runtime, nil when windowed
-	wh   *shard.WindowedHistogram // windowed runtime, nil when cumulative
-
-	slots slotPool[*pooledHistogramHandle]
-
-	snap    histRT   // registry snapshot handle (slot procs), else nil
-	snapBuf []uint64 // snap's reused bucket read (serialized by the registry's per-entry snapMu)
+	base[BatchedHistogramHandle]
+	bk histogram.Buckets
 }
 
 // histRT is the runtime surface shared by the cumulative and windowed
@@ -178,59 +171,30 @@ func newHistogram(spec Spec) (*Histogram, error) {
 	if spec.tel != nil {
 		hopts = append(hopts, shard.HistTelemetry(spec.tel.sink))
 	}
-	h := &Histogram{spec: spec, bk: bk}
+	h := &Histogram{bk: bk}
 	if spec.Windowed() {
-		wh, err := shard.NewWindowedHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), spec.windowDur, spec.windowEpochs, hopts...)
+		rt, err := shard.NewWindowedHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), spec.windowDur, spec.windowEpochs, hopts...)
 		if err != nil {
 			return nil, err
 		}
-		h.wh = wh
-	} else {
-		sh, err := shard.NewHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), hopts...)
-		if err != nil {
-			return nil, err
-		}
-		h.h = sh
+		h.init(spec, rt, func(i int) BatchedHistogramHandle { return &histSlotHandle{h: rt.Handle(i), bk: h.bk} })
+		return h, nil
 	}
-	h.slots.init(spec.procs, h.newPooledHandle)
-	instrumentObject(spec, h.slots.free, h.BaseObjects)
-	if spec.snapshotSlot {
-		h.snap = h.runtimeHandle(spec.procs)
+	rt, err := shard.NewHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), hopts...)
+	if err != nil {
+		return nil, err
 	}
+	h.init(spec, rt, func(i int) BatchedHistogramHandle { return &histSlotHandle{h: rt.Handle(i), bk: h.bk} })
 	return h, nil
 }
-
-// runtimeHandle binds a slot on whichever runtime backs the histogram.
-func (h *Histogram) runtimeHandle(i int) histRT {
-	if h.wh != nil {
-		return h.wh.Handle(i)
-	}
-	return h.h.Handle(i)
-}
-
-// Spec returns the validated spec the histogram was built from.
-func (h *Histogram) Spec() Spec { return h.spec }
-
-// N returns the number of process slots available to callers.
-func (h *Histogram) N() int { return h.spec.procs }
 
 // K returns the accuracy factor the bucket boundaries are spaced by (1
 // for exact histograms).
 func (h *Histogram) K() uint64 { return h.spec.acc.K() }
 
-// Accuracy returns the accuracy selection.
-func (h *Histogram) Accuracy() Accuracy { return h.spec.acc }
-
 // Bound returns the value bound m (observations must be < m), or 0 for
 // histograms over the full uint64 domain.
 func (h *Histogram) Bound() uint64 { return h.spec.bound }
-
-// Shards returns the shard count.
-func (h *Histogram) Shards() int { return h.spec.shards }
-
-// Batch returns the per-handle observation buffer (1 means every
-// observation is published immediately).
-func (h *Histogram) Batch() uint64 { return uint64(h.spec.batch) }
 
 // Buckets returns the number of buckets the value domain rounds into.
 func (h *Histogram) Buckets() int { return h.bk.N() }
@@ -251,46 +215,7 @@ func (h *Histogram) Buckets() int { return h.bk.N() }
 // carries the one-epoch truncation skew d/n; rounding (Mult) and rank
 // slack (Buffer) are unchanged — a handle's pending observations live
 // in at most one epoch at a time.
-func (h *Histogram) Bounds() Bounds {
-	if h.wh != nil {
-		return scaledBounds(h.wh.Bounds(), h.spec)
-	}
-	return scaledBounds(h.h.Bounds(), h.spec)
-}
-
-// BaseObjects returns the number of base objects (registers, TAS
-// instances) the histogram has allocated across its shards — and, for
-// windowed histograms, its live epoch ring: the histogram's space cost
-// in the paper's model.
-func (h *Histogram) BaseObjects() uint64 {
-	if h.wh != nil {
-		return h.wh.BaseObjects()
-	}
-	return h.h.BaseObjects()
-}
-
-// Close stops the histogram's background goroutines — the read cache's
-// combiner when WithReadCache is set, and the epoch rotator when
-// WithWindow is set (the window freezes; see Counter.Close).
-// Idempotent, and a no-op otherwise; handles stay usable afterwards
-// (cached bucket reads refresh inline).
-func (h *Histogram) Close() {
-	if h.wh != nil {
-		h.wh.Close()
-		return
-	}
-	h.h.Close()
-}
-
-// Reset replaces the whole window with fresh epochs — the distribution
-// restarts empty. Only windowed histograms (WithWindow) support it; it
-// is an error otherwise, and after Close.
-func (h *Histogram) Reset() error {
-	if h.wh == nil {
-		return fmt.Errorf("approxobj: Reset needs a windowed histogram (WithWindow); this one is cumulative")
-	}
-	return h.wh.Reset()
-}
+func (h *Histogram) Bounds() Bounds { return h.bounds() }
 
 // Snapshot freezes one consistent bucket read into a queryable
 // HistogramSnapshot and, when reset is true, resets the window
@@ -298,8 +223,8 @@ func (h *Histogram) Reset() error {
 // contract). Unlike handle queries, which each fold a fresh read, every
 // query on the returned snapshot folds the same frozen counts.
 func (h *Histogram) Snapshot(reset bool) (HistogramSnapshot, error) {
-	ph, release := h.slots.acquire()
-	counts := ph.h.Buckets()
+	hh, release := h.acquire()
+	counts := hh.(*histSlotHandle).h.Buckets()
 	release()
 	snap := HistogramSnapshot{bk: h.bk, counts: counts}
 	if reset {
@@ -343,12 +268,7 @@ func (s HistogramSnapshot) CDF(v uint64) float64 { return histogram.CDF(s.bk, s.
 // goroutine must use its own slot; do not mix Handle(i) with Acquire/Do
 // on the same slot range. The returned handle implements
 // BatchedHistogramHandle.
-func (h *Histogram) Handle(i int) HistogramHandle {
-	if i < 0 || i >= h.spec.procs {
-		panic("approxobj: histogram handle slot out of range")
-	}
-	return &histSlotHandle{h: h.runtimeHandle(i), bk: h.bk}
-}
+func (h *Histogram) Handle(i int) HistogramHandle { return h.handle(i) }
 
 // histSlotHandle adapts a runtime histogram handle to the public query
 // interface: observations round through the bucket layout on the way
@@ -395,8 +315,7 @@ func (h *histSlotHandle) Flush()               { h.h.Flush() }
 // exports for this kind; pair it with Quantile queries through a
 // HistogramObject handle for the distribution itself.
 func (h *Histogram) snapshotValue() uint64 {
-	h.snapBuf = h.snap.BucketsInto(h.snapBuf)
-	return histogram.Count(h.snapBuf)
+	return histogram.Count(h.snap.(*histSlotHandle).read())
 }
 
 // snapshotBounds narrows the envelope to the one that bounds the
@@ -411,16 +330,13 @@ func (h *Histogram) snapshotBounds() Bounds {
 	return b
 }
 
-func (h *Histogram) snapshotSteps() uint64 { return h.snap.Steps() }
-
 // snapshotDetail folds one consistent bucket read into the registry's
 // kind-agnostic distribution detail: cumulative counts at the upper
 // boundary of each occupied bucket (the Prometheus bucket shape — see
 // package expose). Only occupied buckets are emitted, which keeps the
 // detail compact even for exact layouts with one bucket per value.
 func (h *Histogram) snapshotDetail() *HistogramDetail {
-	h.snapBuf = h.snap.BucketsInto(h.snapBuf)
-	counts := h.snapBuf
+	counts := h.snap.(*histSlotHandle).read()
 	d := &HistogramDetail{
 		Count: histogram.Count(counts),
 		Sum:   histogram.Sum(h.bk, counts),

@@ -173,6 +173,8 @@ func (hg *Histogram) Bounds() Bounds { return hg.p.Bounds() }
 // shards — the histogram's space cost in the paper's model.
 func (hg *Histogram) BaseObjects() uint64 { return hg.p.BaseObjects() }
 
+func (hg *Histogram) sink() *telemetry.Sink { return hg.p.tel }
+
 // Handle binds process slot i (0 <= i < n) to the histogram. The handle
 // adds to shard i mod S and reads all shards through slot i of each
 // shard's factory. Like every handle in this repository it must be used

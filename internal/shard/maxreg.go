@@ -191,6 +191,8 @@ func (m *MaxReg) Bounds() Bounds { return m.p.Bounds() }
 // shards — the register's space cost in the paper's model.
 func (m *MaxReg) BaseObjects() uint64 { return m.p.BaseObjects() }
 
+func (m *MaxReg) sink() *telemetry.Sink { return m.p.tel }
+
 // Handle binds process slot i (0 <= i < n) to the register. The handle
 // writes to shard i mod S and reads all shards through slot i of each
 // shard's factory. Like every handle in this repository it must be used

@@ -332,6 +332,8 @@ func (c *Counter) Bounds() Bounds { return c.p.Bounds() }
 // shards — the counter's space cost in the paper's model.
 func (c *Counter) BaseObjects() uint64 { return c.p.BaseObjects() }
 
+func (c *Counter) sink() *telemetry.Sink { return c.p.tel }
+
 // Handle binds process slot i (0 <= i < n) to the counter. The handle
 // increments shard i mod S and reads all shards through slot i of each
 // shard's factory. Like every handle in this repository it must be used by

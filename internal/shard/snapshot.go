@@ -168,6 +168,8 @@ func (s *Snapshot) Bounds() Bounds { return s.p.Bounds() }
 // shards — the snapshot's space cost in the paper's model.
 func (s *Snapshot) BaseObjects() uint64 { return s.p.BaseObjects() }
 
+func (s *Snapshot) sink() *telemetry.Sink { return s.p.tel }
+
 // Handle binds process slot i (0 <= i < n) to the snapshot. The handle
 // owns component i: its updates land in shard i mod S, and its scans
 // merge all shards through slot i of each shard's factory. Like every

@@ -33,10 +33,12 @@ const (
 )
 
 type slot struct {
+	park   chan struct{} // process -> machine: blocked on token, awaiting a step
 	token  chan struct{} // grant: machine -> process
 	ack    chan []prim.Event
 	done   chan struct{} // closed when program returns
 	status ProcStatus
+	parked bool // a park signal was received and its step not yet granted
 }
 
 // Machine is a deterministic lock-step shared-memory simulator for n
@@ -61,6 +63,7 @@ func NewMachine(n int) *Machine {
 	for i := 0; i < n; i++ {
 		m.procs[i] = m.factory.Proc(i)
 		m.slots[i] = &slot{
+			park:   make(chan struct{}),
 			token:  make(chan struct{}),
 			ack:    make(chan []prim.Event),
 			done:   make(chan struct{}),
@@ -80,10 +83,12 @@ func (m *Machine) N() int { return len(m.procs) }
 // Proc returns the handle of process i (for reading step counts).
 func (m *Machine) Proc(i int) *prim.Proc { return m.procs[i] }
 
-// Enter implements prim.Gate: it blocks the calling process goroutine until
-// the driver grants it a step.
+// Enter implements prim.Gate: it reports the calling process goroutine
+// parked, then blocks it until the driver grants it a step.
 func (m *Machine) Enter(p *prim.Proc) {
-	<-m.slots[p.ID()].token
+	s := m.slots[p.ID()]
+	s.park <- struct{}{}
+	<-s.token
 }
 
 // Exit implements prim.Gate: it reports the completed step (one or more
@@ -102,6 +107,8 @@ func (m *Machine) Spawn(i int, program func(p *prim.Proc)) {
 		panic(fmt.Sprintf("sim: process %d already running", i))
 	}
 	// Fresh channels: a previous program may have left a closed done chan.
+	s.park = make(chan struct{})
+	s.parked = false
 	s.token = make(chan struct{})
 	s.ack = make(chan []prim.Event)
 	s.done = make(chan struct{})
@@ -119,15 +126,11 @@ func (m *Machine) Spawn(i int, program func(p *prim.Proc)) {
 // or crashed process returns false immediately.
 func (m *Machine) Step(i int) bool {
 	s := m.slots[i]
-	if s.status != StatusRunning {
+	if s.status != StatusRunning || !settle(s) {
 		return false
 	}
-	select {
-	case s.token <- struct{}{}:
-	case <-s.done:
-		s.status = StatusIdle
-		return false
-	}
+	s.parked = false
+	s.token <- struct{}{}
 	// The process now executes exactly one primitive effect and reports it
 	// (arity-q primitives report one event per object touched).
 	evs := <-s.ack
@@ -137,12 +140,27 @@ func (m *Machine) Step(i int) bool {
 	}
 	// If that was the program's last step, reap it now so Running status
 	// means "will take another step when granted".
-	select {
-	case <-s.done:
-		s.status = StatusIdle
-	default:
-	}
+	settle(s)
 	return true
+}
+
+// settle blocks until the running process s is parked before its next
+// step or its program has returned, marking it idle in the latter case,
+// and reports whether it is parked. Waiting for one of the two events,
+// rather than polling done, decides the status exactly: a finished
+// process whose goroutine has not yet closed done would otherwise stay
+// in the active set, and a scheduler would spend a draw on it, shifting
+// the rest of the schedule.
+func settle(s *slot) bool {
+	if !s.parked {
+		select {
+		case <-s.park:
+			s.parked = true
+		case <-s.done:
+			s.status = StatusIdle
+		}
+	}
+	return s.parked
 }
 
 // Running reports whether process i has an unfinished program.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"approxobj/internal/prim"
@@ -122,6 +123,41 @@ func TestDeterministicReplay(t *testing.T) {
 	c := run(43)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical traces (suspicious)")
+	}
+}
+
+// TestReplayAcrossGOMAXPROCS replays many seeded random and scripted
+// schedules under several GOMAXPROCS settings. A process whose program
+// has finished must leave the active set before the scheduler's next
+// draw whatever the goroutine timing, or the draw is spent on it and the
+// rest of the schedule shifts; every replay must match its first run.
+func TestReplayAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	seeds := 100
+	if testing.Short() {
+		seeds = 20
+	}
+	run := func(sched Scheduler) []prim.Event {
+		m := NewMachine(3)
+		reg := m.Factory().Reg()
+		for i := 0; i < 3; i++ {
+			m.Spawn(i, incProgram(reg, 1+i))
+		}
+		m.RunAll(sched, 1000)
+		return m.Trace()
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			if a, b := run(NewRandom(seed)), run(NewRandom(seed)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("GOMAXPROCS=%d: random schedule with seed %d replayed differently", procs, seed)
+			}
+			script := []int{0, 0, 1, 0, 2, 1, 2, 2, 1, 0, 2, 2, 1, 2, 2, 1}
+			script[seed%int64(len(script))] = int(seed % 3)
+			if a, b := run(NewScripted(script)), run(NewScripted(script)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("GOMAXPROCS=%d: script %v replayed differently", procs, script)
+			}
+		}
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 
 // instance is the kind-agnostic view of a built object — what the
 // registry and the backend table program against, independent of the
-// kind's handle types. Every public object family (*Counter,
-// *MaxRegister, *Snapshot) implements it.
+// kind's handle types. Every public object kind (*Counter,
+// *MaxRegister, *Snapshot, *Histogram) implements it, mostly through
+// its embedded base.
 type instance interface {
 	// Spec returns the validated spec the object was built from.
 	Spec() Spec
@@ -26,7 +27,7 @@ type instance interface {
 	// StepsRetired returns the steps credited by released pooled handles.
 	StepsRetired() uint64
 	// Close stops the object's background resources — the read cache's
-	// combiner goroutine, when WithReadCache is set. Idempotent; a no-op
+	// combiner and the window's rotator, when set. Idempotent; a no-op
 	// for objects without any.
 	Close()
 	// snapshotValue reads the object's current value through the

@@ -10,7 +10,20 @@ import (
 	"approxobj/internal/histogram"
 	"approxobj/internal/planetest"
 	"approxobj/internal/satmath"
+	"approxobj/internal/shard"
 )
+
+// rotate forces one epoch rotation of a windowed object's ring, so
+// tests drive epochs by hand instead of sleeping through wall-clock
+// rotations.
+func rotate[H slotHandle](t *testing.T, b *base[H]) {
+	t.Helper()
+	w, ok := b.rt.(interface{ Rotate() })
+	if !ok {
+		t.Fatal("object is not backed by a windowed runtime")
+	}
+	w.Rotate()
+}
 
 // observePhase drives the observer goroutines of one window phase:
 // every observer acquires a pooled handle, records perG values from its
@@ -101,7 +114,7 @@ func checkHistWindow(t *testing.T, h *Histogram, live []uint64, bound uint64) {
 // verified against an exact reference of the observation multiset that
 // rotation has not yet evicted, phase by phase. The window duration is
 // an hour so the only rotations are the test's own deterministic
-// h.wh.Rotate() calls: observations written before r rotations are live
+// rotate calls: observations written before r rotations are live
 // iff r < epochs, expired otherwise; Reset evicts everything at once
 // and the object keeps working.
 func TestWindowedHistogramConformance(t *testing.T) {
@@ -121,7 +134,7 @@ func TestWindowedHistogramConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer h.Close()
-			if h.wh == nil {
+			if _, ok := h.rt.(*shard.WindowedHistogram); !ok {
 				t.Fatal("WithWindow histogram is not backed by the windowed runtime")
 			}
 			if b := h.Bounds(); b.Window != time.Hour/epochs {
@@ -132,14 +145,14 @@ func TestWindowedHistogramConformance(t *testing.T) {
 			// live (A has survived 1 < epochs rotations).
 			phaseA := observePhase(t, h, observers, perG, bound, 1)
 			checkHistWindow(t, h, phaseA, bound)
-			h.wh.Rotate()
+			rotate(t, &h.base)
 			phaseB := observePhase(t, h, observers, perG, bound, 2)
 			checkHistWindow(t, h, append(append([]uint64{}, phaseA...), phaseB...), bound)
 
 			// Rotate until phase A has seen epochs rotations: A expires,
 			// B (epochs-1 rotations) is still live.
 			for i := 0; i < epochs-1; i++ {
-				h.wh.Rotate()
+				rotate(t, &h.base)
 			}
 			checkHistWindow(t, h, phaseB, bound)
 
@@ -178,12 +191,12 @@ func TestWindowedCounterReadsLastWindow(t *testing.T) {
 	}
 	// The 5 increments survive epochs-1 further rotations, then expire.
 	for i := 0; i < epochs-1; i++ {
-		c.wc.Rotate()
+		rotate(t, &c.base)
 		if got := h.Read(); got != 5 {
 			t.Fatalf("read after %d rotations = %d, want 5 (still in window)", i+1, got)
 		}
 	}
-	c.wc.Rotate()
+	rotate(t, &c.base)
 	if got := h.Read(); got != 0 {
 		t.Fatalf("read after %d rotations = %d, want 0 (expired)", epochs, got)
 	}
