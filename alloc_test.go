@@ -25,7 +25,7 @@ import (
 func requireZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
 	if avg := testing.AllocsPerRun(100, f); avg != 0 {
-		t.Errorf("%s: %.2f allocs per read, want 0", name, avg)
+		t.Errorf("%s: %.2f allocs per call, want 0", name, avg)
 	}
 }
 
@@ -202,11 +202,12 @@ func TestTelemetryDisabledZeroCost(t *testing.T) {
 	}
 }
 
-// TestPooledAcquireAllocations pins the acquisition hot path's
+// TestPooledAcquireAllocations pins the public acquisition path's
 // allocation budget: after the first lease builds the slot's handle,
-// each acquire/release cycle allocates only the release closure (the
-// idempotence guard rides the slot's generation counter, not a fresh
-// escaping atomic).
+// each Acquire/release cycle allocates only the release closure that
+// Acquire and TryAcquire must return (the idempotence guard rides the
+// slot's generation counter, not a fresh escaping atomic). Do pays not
+// even that; see TestPooledDoAllocationFree.
 func TestPooledAcquireAllocations(t *testing.T) {
 	c, err := approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
 	if err != nil {
@@ -220,5 +221,132 @@ func TestPooledAcquireAllocations(t *testing.T) {
 		release()
 	}); avg > 1 {
 		t.Errorf("acquire/release cycle: %.2f allocs, want <= 1 (the release closure)", avg)
+	}
+}
+
+// TestPooledDoAllocationFree pins Do at zero allocations per call, with
+// one mutation and with one read, for every kind: Do releases through a
+// deferred method call, not through the closure Acquire returns. The
+// mutations are ones whose backend write allocates nothing on a held
+// handle either: a snapshot component write of a NEW value allocates
+// in the backend's snapshot register (3 allocs at S=1, B=1, held handle
+// or not), so the snapshot's Do rewrites one value, which still runs
+// the whole acquire/flush/release cycle.
+func TestPooledDoAllocationFree(t *testing.T) {
+	opts := []approxobj.Option{approxobj.WithProcs(2), approxobj.WithShards(2), approxobj.WithBatch(4)}
+	var sink uint64
+
+	c, err := approxobj.NewCounter(append(opts, approxobj.WithAccuracy(approxobj.Multiplicative(2)))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Do(func(h approxobj.CounterHandle) { h.Inc() }) // build the slot's handle
+	requireZeroAllocs(t, "counter Do(Inc)", func() { c.Do(func(h approxobj.CounterHandle) { h.Inc() }) })
+	requireZeroAllocs(t, "counter Do(Read)", func() { c.Do(func(h approxobj.CounterHandle) { sink += h.Read() }) })
+
+	m, err := approxobj.NewMaxRegister(append(opts,
+		approxobj.WithAccuracy(approxobj.Multiplicative(2)),
+		approxobj.WithBound(1<<20))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var v uint64
+	m.Do(func(h approxobj.MaxRegisterHandle) { h.Write(v) })
+	requireZeroAllocs(t, "max-register Do(Write)", func() {
+		v++
+		m.Do(func(h approxobj.MaxRegisterHandle) { h.Write(v) })
+	})
+	requireZeroAllocs(t, "max-register Do(Read)", func() { m.Do(func(h approxobj.MaxRegisterHandle) { sink += h.Read() }) })
+
+	sn, err := approxobj.NewSnapshot(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	var buf []uint64
+	sn.Do(func(h approxobj.SnapshotHandle) { buf = h.ScanInto(buf) }) // grow the scan buffer once
+	sn.Do(func(h approxobj.SnapshotHandle) { h.Update(7) })
+	requireZeroAllocs(t, "snapshot Do(Update)", func() { sn.Do(func(h approxobj.SnapshotHandle) { h.Update(7) }) })
+	requireZeroAllocs(t, "snapshot Do(ScanInto)", func() { sn.Do(func(h approxobj.SnapshotHandle) { buf = h.ScanInto(buf) }) })
+
+	hg, err := approxobj.NewHistogram(append(opts,
+		approxobj.WithAccuracy(approxobj.Multiplicative(2)),
+		approxobj.WithBound(1<<16))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hg.Close()
+	hg.Do(func(h approxobj.HistogramHandle) { sink += h.Quantile(0.99) })
+	requireZeroAllocs(t, "histogram Do(Observe)", func() { hg.Do(func(h approxobj.HistogramHandle) { h.Observe(7) }) })
+	requireZeroAllocs(t, "histogram Do(Quantile)", func() { hg.Do(func(h approxobj.HistogramHandle) { sink += h.Quantile(0.99) }) })
+	if sink == ^uint64(0) {
+		t.Fatal("impossible sink")
+	}
+}
+
+// TestRegistryGetterAllocationFree pins the registry getters' hit path —
+// a repeat call on an existing name with the same options — at zero
+// allocations, for every kind, cumulative, cached and windowed: the
+// lookup is a lock-free index read and the options apply to a pooled
+// scratch spec.
+func TestRegistryGetterAllocationFree(t *testing.T) {
+	variants := []struct {
+		label string
+		opts  []approxobj.Option
+	}{
+		{"cumulative", nil},
+		{"cached", []approxobj.Option{approxobj.WithReadCache(time.Hour)}},
+		{"windowed", []approxobj.Option{approxobj.WithWindow(time.Hour, 2)}},
+	}
+	for _, v := range variants {
+		t.Run(v.label, func(t *testing.T) {
+			reg := approxobj.NewRegistry()
+			defer reg.Close()
+			base := append([]approxobj.Option{approxobj.WithProcs(2), approxobj.WithShards(2)}, v.opts...)
+			counterOpts := append(base[:len(base):len(base)], approxobj.WithAccuracy(approxobj.Multiplicative(4)))
+			maxRegOpts := append(base[:len(base):len(base)], approxobj.WithBound(1<<20))
+			histOpts := append(base[:len(base):len(base)],
+				approxobj.WithAccuracy(approxobj.Multiplicative(2)), approxobj.WithBound(1<<16))
+
+			c0, err := reg.Counter("c", counterOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m0, err := reg.MaxRegister("m", maxRegOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s0, err := reg.SnapshotObject("s", base...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h0, err := reg.HistogramObject("h", histOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			requireZeroAllocs(t, "Counter hit", func() {
+				if c, err := reg.Counter("c", counterOpts...); err != nil || c != c0 {
+					t.Fatalf("Counter hit: %p, %v; want %p", c, err, c0)
+				}
+			})
+			requireZeroAllocs(t, "MaxRegister hit", func() {
+				if m, err := reg.MaxRegister("m", maxRegOpts...); err != nil || m != m0 {
+					t.Fatalf("MaxRegister hit: %p, %v; want %p", m, err, m0)
+				}
+			})
+			requireZeroAllocs(t, "SnapshotObject hit", func() {
+				if s, err := reg.SnapshotObject("s", base...); err != nil || s != s0 {
+					t.Fatalf("SnapshotObject hit: %p, %v; want %p", s, err, s0)
+				}
+			})
+			requireZeroAllocs(t, "HistogramObject hit", func() {
+				if h, err := reg.HistogramObject("h", histOpts...); err != nil || h != h0 {
+					t.Fatalf("HistogramObject hit: %p, %v; want %p", h, err, h0)
+				}
+			})
+		})
 	}
 }

@@ -252,7 +252,7 @@ var _ instance = (*Counter)(nil)
 // k >= 2 and k >= sqrt(n), and WithBound is rejected (counters are
 // unbounded).
 func NewCounter(opts ...Option) (*Counter, error) {
-	spec, err := newSpec(KindCounter, opts)
+	spec, err := newSpec(KindCounter, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +415,7 @@ var _ instance = (*MaxRegister)(nil)
 // widening; WithBatch(B) elides writes within B-1 of a handle's last
 // flushed value.
 func NewMaxRegister(opts ...Option) (*MaxRegister, error) {
-	spec, err := newSpec(KindMaxRegister, opts)
+	spec, err := newSpec(KindMaxRegister, opts, false)
 	if err != nil {
 		return nil, err
 	}

@@ -382,6 +382,67 @@ func BenchmarkBoundedMaxRegisterRead(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryGetDo times the request-path write: a registry
+// getter call on an already-registered name (the lock-free hit path)
+// followed by one pooled Do mutation, per kind, with the specs of the
+// repository benchmark's ingest workload (two slots, two shards, batch
+// 64). Neither layer allocates: allocs/op reads 0 except for the
+// snapshot, whose component writes of new values allocate in the
+// backend's snapshot register on a held handle too.
+func BenchmarkRegistryGetDo(b *testing.B) {
+	reg := approxobj.NewRegistry()
+	defer reg.Close()
+	base := []approxobj.Option{approxobj.WithProcs(2), approxobj.WithShards(2), approxobj.WithBatch(64)}
+	with := func(opts ...approxobj.Option) []approxobj.Option {
+		return append(base[:len(base):len(base)], opts...)
+	}
+	counterOpts := with(approxobj.WithAccuracy(approxobj.Multiplicative(4)))
+	maxRegOpts := with(approxobj.WithAccuracy(approxobj.Multiplicative(2)), approxobj.WithBound(1<<20))
+	histOpts := with(approxobj.WithAccuracy(approxobj.Multiplicative(2)), approxobj.WithBound(1<<20))
+	run := func(name string, op func(i int) error) {
+		b.Run(name, func(b *testing.B) {
+			if err := op(0); err != nil { // first registration
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("counter", func(int) error {
+		c, err := reg.Counter("requests", counterOpts...)
+		if err == nil {
+			c.Do(func(h approxobj.CounterHandle) { h.Inc() })
+		}
+		return err
+	})
+	run("max-register", func(i int) error {
+		m, err := reg.MaxRegister("peak", maxRegOpts...)
+		if err == nil {
+			m.Do(func(h approxobj.MaxRegisterHandle) { h.Write(uint64(i) % (1 << 20)) })
+		}
+		return err
+	})
+	run("snapshot", func(i int) error {
+		s, err := reg.SnapshotObject("progress", base...)
+		if err == nil {
+			s.Do(func(h approxobj.SnapshotHandle) { h.Update(uint64(i)) })
+		}
+		return err
+	})
+	run("histogram", func(i int) error {
+		hg, err := reg.HistogramObject("latency", histOpts...)
+		if err == nil {
+			hg.Do(func(h approxobj.HistogramHandle) { h.Observe(uint64(i) % (1 << 20)) })
+		}
+		return err
+	})
+}
+
 func BenchmarkSimMachineStep(b *testing.B) {
 	// Cost of one lock-step simulated primitive (channel round-trip):
 	// calibrates how large simulated experiments can be.

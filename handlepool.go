@@ -158,44 +158,55 @@ func (b *base[H]) tryAcquire() (h H, release func(), ok bool) {
 	return h, release, true
 }
 
-// do runs f with a pooled handle, releasing it when f returns.
+// do runs f with a pooled handle, releasing it when f returns. It needs
+// no release closure: the deferred method call is open-coded, so a Do
+// allocates nothing.
 func (b *base[H]) do(f func(H)) {
-	h, release := b.acquire()
-	defer release()
+	i := b.free.Acquire()
+	h, g := b.checkout(i)
+	defer b.release(i, g)
 	f(h)
 }
 
-// lease hands out slot i's cached handle, building it on first use
+// checkout hands out slot i's cached handle, building it on first use
 // (safe without a lock — the pool hands each slot to one goroutine at a
-// time, and releases happen-before the next acquire), and returns it
-// with an idempotent release that flushes the handle, credits its steps
-// since the slot's last release, and frees the slot.
-//
-// The idempotence guard is the slot's monotonic generation counter:
-// each lease bumps it to g and release succeeds only by advancing g to
-// g+1, so a cleanup path racing the owner's deferred release cannot
-// credit the handle twice or duplicate the slot in the free list — and
-// a stale closure surviving past a re-lease can never succeed either
-// (the generation has moved past g for good). Sharing the guard with
-// the slot keeps the acquisition hot path to one allocation (the
-// release closure itself).
-func (b *base[H]) lease(i int) (H, func()) {
+// time, and releases happen-before the next acquire), and bumps the
+// slot's lease generation to g, which the lease's release must present.
+func (b *base[H]) checkout(i int) (h H, g uint64) {
 	s := &b.slots[i]
 	var zero H
 	if s.h == zero {
 		s.h = b.bind(i)
 	}
-	g := s.gen.Add(1)
-	return s.h, func() {
-		if !s.gen.CompareAndSwap(g, g+1) {
-			return
-		}
-		s.h.Flush()
-		steps := s.h.Steps()
-		b.retired.Add(steps - s.credited)
-		s.credited = steps
-		b.free.Release(i)
+	return s.h, s.gen.Add(1)
+}
+
+// release ends lease g of slot i: it flushes the handle, credits its
+// steps since the slot's last release, and frees the slot. It succeeds
+// only by advancing the slot's generation from g to g+1, so a release
+// racing another release of the same lease, or a stale one surviving
+// past a re-lease (the generation has moved past g for good), does
+// nothing — it can neither credit the handle twice nor duplicate the
+// slot in the free list.
+func (b *base[H]) release(i int, g uint64) {
+	s := &b.slots[i]
+	if !s.gen.CompareAndSwap(g, g+1) {
+		return
 	}
+	s.h.Flush()
+	steps := s.h.Steps()
+	b.retired.Add(steps - s.credited)
+	s.credited = steps
+	b.free.Release(i)
+}
+
+// lease checks out slot i for the public Acquire and TryAcquire, which
+// must return the release as a func(): the closure wraps release, so it
+// is idempotent, and it is the only allocation of an acquisition (Do
+// skips it).
+func (b *base[H]) lease(i int) (H, func()) {
+	h, g := b.checkout(i)
+	return h, func() { b.release(i, g) }
 }
 
 // Acquire borrows an exclusive handle from the counter's slot pool,

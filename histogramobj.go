@@ -152,7 +152,7 @@ var _ instance = (*Histogram)(nil)
 // traffic over S shards whose per-bucket sums widen nothing;
 // WithBatch(B) buffers up to B-1 observations per handle.
 func NewHistogram(opts ...Option) (*Histogram, error) {
-	spec, err := newSpec(KindHistogram, opts)
+	spec, err := newSpec(KindHistogram, opts, false)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,11 @@
 // (a slot value exists in at most one place at a time) and a
 // happens-before edge from each Release to the next Acquire of the same
 // slot, so successive owners of a slot may reuse its handle state without
-// further synchronization.
+// further synchronization. The channel's FIFO rotation of slots is
+// load-bearing too: a pooled snapshot caller writes the component of
+// whichever slot it receives, so the rotation decides how pooled writes
+// spread over the components (the root package's snapshot conformance
+// tests depend on it, and fail under a lowest-free-slot-first list).
 //
 // The channel alone cannot distinguish "slot s is held" from "slot s is
 // free"; it only counts. A double release would therefore go unnoticed

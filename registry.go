@@ -6,14 +6,14 @@ import (
 )
 
 // Registry is a set of named objects, in the style of a metrics registry:
-// the per-kind getters (Counter, MaxRegister, SnapshotObject) are
-// get-or-create (a second registration of the same name with the same
-// spec returns the existing object; a conflicting spec is an error), and
-// Snapshot reads every object's current value, accuracy envelope, and
-// cumulative steps in one call, for telemetry and export scenarios. The
-// registry itself is kind-agnostic: it dispatches through the
-// backend-plane table, so a newly registered kind needs only a typed
-// getter.
+// the per-kind getters (Counter, MaxRegister, SnapshotObject,
+// HistogramObject) are get-or-create (a second registration of the same
+// name with the same spec returns the existing object; a conflicting
+// spec is an error), and Snapshot reads every object's current value,
+// accuracy envelope, and cumulative steps in one call, for telemetry and
+// export scenarios. The registry itself is kind-agnostic: it dispatches
+// through the backend-plane table, so a newly registered kind needs only
+// a typed getter.
 //
 // Every registry-owned object reserves one process slot beyond
 // WithProcs(n) for the registry's own snapshot reads, so Snapshot never
@@ -22,11 +22,25 @@ import (
 // accounts for the extra slot — e.g. a Multiplicative(k) counter
 // registered with WithProcs(n) needs k >= sqrt(n+1).
 //
+// A getter call on a name that is already registered with the same
+// options takes no lock and allocates nothing: it finds the entry in a
+// lock-free index, applies the options to a pooled scratch spec, and
+// returns the object when that spec is identical to the one stored at
+// registration (which was validated then, and validation is a pure
+// function of the spec). Any other call — a first registration, a
+// conflicting spec, a kind mismatch — takes the registry lock and runs
+// the full validating path, so registration serializes and every error
+// comes from that path.
+//
 // All methods are safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	entries map[string]*regEntry
-	order   []string
+	// index maps each registered name to its *regEntry. It is written
+	// only under mu (see insert) and read without it by the getters' hit
+	// path; since Go 1.24 sync.Map is a lock-free hash trie.
+	index sync.Map
+
+	mu    sync.Mutex
+	order []*regEntry // registration order; append-only, guarded by mu
 }
 
 type regEntry struct {
@@ -43,21 +57,56 @@ type regEntry struct {
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{entries: make(map[string]*regEntry)}
+func NewRegistry() *Registry { return &Registry{} }
+
+// scratchSpecs recycles the specs the getters' hit path applies options
+// to: an Option is an indirect call taking *Spec, so a spec built on the
+// stack would escape to the heap on every call.
+var scratchSpecs = sync.Pool{New: func() any { return new(Spec) }}
+
+// lookup is the getters' lock-free hit path: it returns the object
+// registered under name when opts, applied over kind's defaults with
+// the snapshot slot reserved, give exactly the entry's stored spec, and
+// nil otherwise (the caller then takes the locked path). It compares
+// the specs the options build, never the options slice itself, which a
+// caller may reuse with different contents. SelfMetrics entries never
+// hit: their specs do not reserve the snapshot slot.
+func (r *Registry) lookup(kind Kind, name string, opts []Option) instance {
+	v, ok := r.index.Load(name)
+	if !ok {
+		return nil
+	}
+	e := v.(*regEntry)
+	s := scratchSpecs.Get().(*Spec)
+	*s = defaultSpec(kind, true)
+	for _, opt := range opts {
+		opt(s)
+	}
+	hit := *s == e.spec
+	*s = Spec{} // drop the telemetry pointer before pooling
+	scratchSpecs.Put(s)
+	if !hit {
+		return nil
+	}
+	return e.obj
 }
 
-// getOrCreate is the kind-agnostic registration path: it validates the
-// spec (with the reserved snapshot slot appended), resolves name
-// collisions, and builds the object through the backend table.
+// getOrCreate is the kind-agnostic registration path: after a miss on
+// the hit path, it validates the spec (with the reserved snapshot slot),
+// resolves name collisions, and builds the object through the backend
+// table, all under the registry lock.
 func (r *Registry) getOrCreate(kind Kind, name string, opts []Option) (instance, error) {
+	if obj := r.lookup(kind, name, opts); obj != nil {
+		return obj, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	spec, err := newSpec(kind, append(opts[:len(opts):len(opts)], withSnapshotSlot()))
+	spec, err := newSpec(kind, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	if e, ok := r.entries[name]; ok {
+	if v, ok := r.index.Load(name); ok {
+		e := v.(*regEntry)
 		if e.spec.kind != kind {
 			return nil, fmt.Errorf("approxobj: registry name %q is a %s, not a %s", name, e.spec.kind, kind)
 		}
@@ -70,9 +119,25 @@ func (r *Registry) getOrCreate(kind Kind, name string, opts []Option) (instance,
 	if err != nil {
 		return nil, err
 	}
-	r.entries[name] = &regEntry{name: name, spec: spec, obj: obj}
-	r.order = append(r.order, name)
+	r.insert(&regEntry{name: name, spec: spec, obj: obj})
 	return obj, nil
+}
+
+// insert registers e, which must be a new name; r.mu must be held. It is
+// the one place entries enter the registry, for the getters and
+// SelfMetrics alike.
+func (r *Registry) insert(e *regEntry) {
+	r.order = append(r.order, e)
+	r.index.Store(e.name, e)
+}
+
+// roster returns the entries registered so far, in registration order.
+// order is append-only, so the capped slice stays valid (and unchanged)
+// after the lock is released.
+func (r *Registry) roster() []*regEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.order[:len(r.order):len(r.order)]
 }
 
 // Counter returns the named counter, creating it from the options on
@@ -127,9 +192,12 @@ func (r *Registry) HistogramObject(name string, opts ...Option) (*Histogram, err
 
 // Names returns the registered names in registration order.
 func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
+	entries := r.roster()
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.name
+	}
+	return names
 }
 
 // ObjectSnapshot is one object's state at snapshot time.
@@ -202,13 +270,7 @@ type HistogramDetail struct {
 // it. Objects registered after the roster was captured are not
 // included.
 func (r *Registry) Snapshot() []ObjectSnapshot {
-	r.mu.Lock()
-	entries := make([]*regEntry, 0, len(r.order))
-	for _, name := range r.order {
-		entries = append(entries, r.entries[name])
-	}
-	r.mu.Unlock()
-
+	entries := r.roster()
 	out := make([]ObjectSnapshot, 0, len(entries))
 	for _, e := range entries {
 		e.snapMu.Lock()
@@ -237,13 +299,7 @@ func (r *Registry) Snapshot() []ObjectSnapshot {
 // also remain safe — a frozen window still accepts writes into its
 // final epochs, useful for draining in-flight workers during shutdown.
 func (r *Registry) Close() {
-	r.mu.Lock()
-	entries := make([]*regEntry, 0, len(r.order))
-	for _, name := range r.order {
-		entries = append(entries, r.entries[name])
-	}
-	r.mu.Unlock()
-	for _, e := range entries {
+	for _, e := range r.roster() {
 		e.obj.Close()
 	}
 }

@@ -544,3 +544,138 @@ func goroutines() int {
 	runtime.GC()
 	return runtime.NumGoroutine()
 }
+
+// TestRegistryHitPathErrors pins the getters' errors on an existing
+// name, which a lock-free hit must never swallow: every spec that
+// differs from the registered one falls through to the validating path
+// and gets exactly the error it got before the hit path existed.
+func TestRegistryHitPathErrors(t *testing.T) {
+	r := NewRegistry()
+	defer r.Close()
+	if _, err := r.Counter("c", WithProcs(2), WithAccuracy(Multiplicative(4))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.HistogramObject("h", WithProcs(2), WithAccuracy(Multiplicative(2))); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SelfMetrics(NewTelemetry()); err != nil {
+		t.Fatal(err)
+	}
+	const counterSpec = "counter{procs: 2, multiplicative(4), shards: 1, batch: 1}"
+	const histSpec = "histogram{procs: 2, multiplicative(2)}"
+	for _, tc := range []struct {
+		name string
+		get  func() error
+		want string
+	}{
+		{"different k", func() error {
+			_, err := r.Counter("c", WithProcs(2), WithAccuracy(Multiplicative(8)))
+			return err
+		}, `approxobj: registry name "c" already registered as ` + counterSpec +
+			", conflicting with counter{procs: 2, multiplicative(8), shards: 1, batch: 1}"},
+		{"added read cache", func() error {
+			_, err := r.Counter("c", WithProcs(2), WithAccuracy(Multiplicative(4)), WithReadCache(time.Second))
+			return err
+		}, `approxobj: registry name "c" already registered as ` + counterSpec +
+			", conflicting with counter{procs: 2, multiplicative(4), shards: 1, batch: 1, cache: 1s}"},
+		{"bound on an unbounded histogram", func() error {
+			_, err := r.HistogramObject("h", WithProcs(2), WithAccuracy(Multiplicative(2)), WithBound(1<<16))
+			return err
+		}, `approxobj: registry name "h" already registered as ` + histSpec +
+			", conflicting with histogram{procs: 2, multiplicative(2), bound: 65536}"},
+		{"wrong kind", func() error {
+			_, err := r.MaxRegister("c", WithProcs(2), WithAccuracy(Multiplicative(4)))
+			return err
+		}, `approxobj: registry name "c" is a counter, not a max register`},
+		{"invalid spec on an existing name", func() error {
+			_, err := r.Counter("c", WithProcs(2), WithAccuracy(Multiplicative(1)))
+			return err
+		}, "approxobj: multiplicative accuracy needs k >= 2, got 1"},
+		{"self-metric counter through a typed getter", func() error {
+			_, err := r.Counter("approx_runtime_flushes")
+			return err
+		}, `approxobj: registry name "approx_runtime_flushes" already registered as ` +
+			"counter{procs: 0, exact, shards: 0, batch: 0}, conflicting with counter{procs: 1, exact, shards: 1, batch: 1}"},
+		{"self-metric gauge through its own kind's getter", func() error {
+			_, err := r.MaxRegister("approx_runtime_refresh_ns_peak")
+			return err
+		}, `approxobj: registry name "approx_runtime_refresh_ns_peak" already registered as ` +
+			"max register{procs: 0, exact, shards: 0, batch: 0}, conflicting with max register{procs: 1, exact}"},
+	} {
+		// Twice: a failed call must not make the next one hit.
+		for i := 0; i < 2; i++ {
+			if err := tc.get(); err == nil || err.Error() != tc.want {
+				t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestRegistryReusedOptionsSlice pins that the hit path keys on the spec
+// the options build, never on the slice holding them: a caller reusing
+// one []Option with a changed element gets the conflict, and changing it
+// back hits the original object again.
+func TestRegistryReusedOptionsSlice(t *testing.T) {
+	r := NewRegistry()
+	defer r.Close()
+	opts := []Option{WithProcs(2), WithAccuracy(Multiplicative(4))}
+	c, err := r.Counter("c", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts[1] = WithAccuracy(Multiplicative(8))
+	if _, err := r.Counter("c", opts...); err == nil || !strings.Contains(err.Error(), "conflicting") {
+		t.Errorf("reused slice with a changed element: got %v, want the conflicting-spec error", err)
+	}
+	opts[1] = WithAccuracy(Multiplicative(4))
+	if again, err := r.Counter("c", opts...); err != nil || again != c {
+		t.Errorf("restored slice: got %p, %v; want the registered counter %p", again, err, c)
+	}
+}
+
+// TestRegistryFirstRegistrationRace races many goroutines through the
+// first registration of one name and then through the hit path: every
+// caller must get the same object, and the name must be registered
+// once. Run with -race this also checks the lock-free index against the
+// locked insert.
+func TestRegistryFirstRegistrationRace(t *testing.T) {
+	r := NewRegistry()
+	defer r.Close()
+	const goroutines, calls = 16, 50
+	got := make([][]*Histogram, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := []Option{WithProcs(2), WithAccuracy(Multiplicative(2)), WithShards(2)}
+			<-start
+			for i := 0; i < calls; i++ {
+				h, err := r.HistogramObject("latency", opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h.Do(func(hh HistogramHandle) { hh.Observe(uint64(i)) })
+				got[g] = append(got[g], h)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	want := got[0][0]
+	for g := range got {
+		for _, h := range got[g] {
+			if h != want {
+				t.Fatalf("goroutine %d got histogram %p, want %p", g, h, want)
+			}
+		}
+	}
+	if names := r.Names(); len(names) != 1 || names[0] != "latency" {
+		t.Errorf("Names() = %v, want [latency]", names)
+	}
+	if n := r.Snapshot()[0].Value; n != goroutines*calls {
+		t.Errorf("snapshot count = %d, want %d", n, goroutines*calls)
+	}
+}

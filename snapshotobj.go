@@ -111,7 +111,7 @@ var _ instance = (*Snapshot)(nil)
 // moves always write through), so scans may trail each component by at
 // most B-1 and never overstate it.
 func NewSnapshot(opts ...Option) (*Snapshot, error) {
-	spec, err := newSpec(KindSnapshot, opts)
+	spec, err := newSpec(KindSnapshot, opts, false)
 	if err != nil {
 		return nil, err
 	}

@@ -456,15 +456,18 @@ func WithWindow(d time.Duration, n int) Option {
 	}
 }
 
-// withSnapshotSlot reserves the internal registry snapshot slot.
-func withSnapshotSlot() Option { return func(s *Spec) { s.snapshotSlot = true } }
+// defaultSpec is the spec of kind before any option applies;
+// snapshotSlot reserves the registry's snapshot slot (see Registry).
+func defaultSpec(kind Kind, snapshotSlot bool) Spec {
+	return Spec{kind: kind, procs: 1, acc: Exact(), shards: 1, batch: 1, snapshotSlot: snapshotSlot}
+}
 
 // newSpec applies opts over the defaults for kind and validates the
 // combination. This is the single validation point of the package: every
-// constructor — new-style, registry, or legacy wrapper — funnels through
-// it.
-func newSpec(kind Kind, opts []Option) (Spec, error) {
-	s := Spec{kind: kind, procs: 1, acc: Exact(), shards: 1, batch: 1}
+// constructor — standalone or registry — funnels through it.
+// snapshotSlot is set by the registry only.
+func newSpec(kind Kind, opts []Option, snapshotSlot bool) (Spec, error) {
+	s := defaultSpec(kind, snapshotSlot)
 	for _, opt := range opts {
 		opt(&s)
 	}

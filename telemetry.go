@@ -278,7 +278,8 @@ func (r *Registry) SelfMetrics(t *Telemetry) error {
 	// Validate the whole batch before registering any of it, so a
 	// partial failure does not leave half the meters behind.
 	for _, name := range selfMetricNames {
-		if e, ok := r.entries[name]; ok {
+		if v, ok := r.index.Load(name); ok {
+			e := v.(*regEntry)
 			m, isMeter := e.obj.(*selfMeter)
 			if !isMeter {
 				return fmt.Errorf("approxobj: SelfMetrics name %q already registered as %s", name, e.spec)
@@ -289,12 +290,11 @@ func (r *Registry) SelfMetrics(t *Telemetry) error {
 		}
 	}
 	for _, name := range selfMetricNames {
-		if _, ok := r.entries[name]; ok {
+		if _, ok := r.index.Load(name); ok {
 			continue
 		}
 		m := meters[name]
-		r.entries[name] = &regEntry{name: name, spec: m.spec, obj: m}
-		r.order = append(r.order, name)
+		r.insert(&regEntry{name: name, spec: m.spec, obj: m})
 	}
 	return nil
 }
