@@ -204,35 +204,25 @@ func checkMultCounter(s Spec) error {
 // wall clock — keeping fixed-workload runs reproducible.
 var randomizedSeed atomic.Int64
 
-// counterShardOptions translates a counter spec into the sharded
-// runtime's configuration: the accuracy selects the per-shard backend,
-// shards and batch pass through. For Randomized the user's delta is a
-// whole-object budget, split evenly over the S shards and (for windowed
-// counters) the epoch ring: the plane recomposes per-shard deltas by
-// union bound (x S) and the window by epoch count (x epochs), so the
-// Bounds an object reports carries the delta the user asked for, not a
-// multiple of it.
-func counterShardOptions(s Spec) (k uint64, opts []shard.Option) {
-	var be shard.Backend
+// counterBackend picks the sharded runtime's per-shard backend, and the
+// k it is built with, from a counter spec's accuracy. For Randomized the
+// user's delta is a whole-object budget, split evenly over the S shards
+// and (for windowed counters) the epoch ring: the plane recomposes
+// per-shard deltas by union bound (x S) and the window by epoch count
+// (x epochs), so the Bounds an object reports carries the delta the
+// user asked for, not a multiple of it.
+func counterBackend(s Spec) (k uint64, be shard.Backend) {
 	switch s.acc.mode {
 	case accAdditive:
-		be, k = shard.AdditiveBackend(), s.acc.k
+		return s.acc.k, shard.AdditiveBackend()
 	case accMultiplicative:
-		be, k = shard.MultBackend(), s.acc.k
+		return s.acc.k, shard.MultBackend()
 	case accRandomized:
 		per := s.acc.delta / float64(s.shards*max(1, s.windowEpochs))
-		be, k = shard.RandomizedBackend(per, randomizedSeed.Add(1)*(1<<32)), s.acc.k
+		return s.acc.k, shard.RandomizedBackend(per, randomizedSeed.Add(1)*(1<<32))
 	default:
-		be, k = shard.AACHBackend(), 1
+		return 1, shard.AACHBackend()
 	}
-	opts = []shard.Option{shard.Shards(s.shards), shard.Batch(s.batch), shard.WithBackend(be)}
-	if s.readStale > 0 {
-		opts = append(opts, shard.ReadCache(s.readStale))
-	}
-	if s.tel != nil {
-		opts = append(opts, shard.Telemetry(s.tel.sink))
-	}
-	return k, opts
 }
 
 // Counter is any member of the counter family — exact, k-additive, or
@@ -260,7 +250,8 @@ func NewCounter(opts ...Option) (*Counter, error) {
 }
 
 func newCounter(spec Spec) (*Counter, error) {
-	k, sopts := counterShardOptions(spec)
+	k, be := counterBackend(spec)
+	sopts := append(spec.shardOptions(), shard.WithBackend(be))
 	c := &Counter{}
 	if spec.Windowed() {
 		rt, err := shard.NewWindowedCounter(spec.totalProcs(), k, spec.windowDur, spec.windowEpochs, sopts...)
@@ -365,33 +356,19 @@ var maxRegisterDescriptor = &kindDescriptor{
 	build:            func(s Spec) (instance, error) { return newMaxRegister(s) },
 }
 
-// maxRegShardOptions translates a max-register spec into the sharded
-// runtime's configuration: accuracy and bound select the per-shard
-// backend, shards and batch (the write-elision window) pass through.
-func maxRegShardOptions(s Spec) (k uint64, opts []shard.MaxRegOption) {
-	var be shard.MaxRegBackend
+// maxRegBackend picks the sharded runtime's per-shard backend, and the
+// k it is built with, from a max-register spec's accuracy and bound.
+func maxRegBackend(s Spec) (k uint64, be shard.MaxRegBackend) {
 	switch {
 	case s.acc.IsExact() && s.boundSet:
-		be, k = shard.ExactBoundedMaxBackend(s.bound), 1
+		return 1, shard.ExactBoundedMaxBackend(s.bound)
 	case s.acc.IsExact():
-		be, k = shard.ExactMaxBackend(), 1
+		return 1, shard.ExactMaxBackend()
 	case s.boundSet:
-		be, k = shard.MultBoundedMaxBackend(s.bound), s.acc.k
+		return s.acc.k, shard.MultBoundedMaxBackend(s.bound)
 	default:
-		be, k = shard.MultMaxBackend(), s.acc.k
+		return s.acc.k, shard.MultMaxBackend()
 	}
-	opts = []shard.MaxRegOption{
-		shard.MaxRegShards(s.shards),
-		shard.MaxRegBatch(s.batch),
-		shard.WithMaxRegBackend(be),
-	}
-	if s.readStale > 0 {
-		opts = append(opts, shard.MaxRegReadCache(s.readStale))
-	}
-	if s.tel != nil {
-		opts = append(opts, shard.MaxRegTelemetry(s.tel.sink))
-	}
-	return k, opts
 }
 
 // MaxRegister is any member of the max-register family — exact or
@@ -423,7 +400,8 @@ func NewMaxRegister(opts ...Option) (*MaxRegister, error) {
 }
 
 func newMaxRegister(spec Spec) (*MaxRegister, error) {
-	k, mopts := maxRegShardOptions(spec)
+	k, be := maxRegBackend(spec)
+	mopts := append(spec.shardOptions(), shard.WithBackend(be))
 	r := &MaxRegister{}
 	if spec.Windowed() {
 		rt, err := shard.NewWindowedMaxReg(spec.totalProcs(), k, spec.windowDur, spec.windowEpochs, mopts...)

@@ -164,13 +164,7 @@ func newHistogram(spec Spec) (*Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	hopts := []shard.HistOption{shard.HistShards(spec.shards), shard.HistBatch(spec.batch)}
-	if spec.readStale > 0 {
-		hopts = append(hopts, shard.HistReadCache(spec.readStale))
-	}
-	if spec.tel != nil {
-		hopts = append(hopts, shard.HistTelemetry(spec.tel.sink))
-	}
+	hopts := spec.shardOptions()
 	h := &Histogram{bk: bk}
 	if spec.Windowed() {
 		rt, err := shard.NewWindowedHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), spec.windowDur, spec.windowEpochs, hopts...)

@@ -62,6 +62,7 @@ func (r AwarenessResult) SatisfiesCorollary() bool {
 // computation (pass 1 for exact counters).
 func Awareness(mk func(f *prim.Factory) (object.Counter, error), n int, k uint64, seed int64) (AwarenessResult, error) {
 	m := sim.NewMachine(n)
+	defer m.Close()
 	c, err := mk(m.Factory())
 	if err != nil {
 		return AwarenessResult{}, err

@@ -76,6 +76,7 @@ type perturbDriver struct {
 // It returns the reader's response, its event trace, and its step count.
 func (d *perturbDriver) execute(rounds []round, probe bool, probeProc int, probePayload uint64, probeSteps int, withLambda bool) (uint64, []prim.Event, int, error) {
 	m := sim.NewMachine(d.n)
+	defer m.Close()
 	perturb, read, err := d.build(m.Factory())
 	if err != nil {
 		return 0, nil, 0, err
@@ -114,6 +115,7 @@ func (d *perturbDriver) execute(rounds []round, probe bool, probeProc int, probe
 // current alpha (gamma in Definition 2).
 func (d *perturbDriver) soloLength(rounds []round, proc int, payload uint64) (int, error) {
 	m := sim.NewMachine(d.n)
+	defer m.Close()
 	perturb, _, err := d.build(m.Factory())
 	if err != nil {
 		return 0, err

@@ -19,7 +19,7 @@ import (
 // the regularity window, with the value-domain rounding k applied to the
 // rank's value argument. At quiescence after flushing, counts must be
 // exact and quantiles inside pure bucket rounding.
-func runHistogramEnvelopeCheck(t *testing.T, writers, perG int, k uint64, opts ...shard.HistOption) {
+func runHistogramEnvelopeCheck(t *testing.T, writers, perG int, k uint64, opts ...shard.Option) {
 	t.Helper()
 	bk, err := histogram.NewBuckets(k, 0)
 	if err != nil {
@@ -161,7 +161,7 @@ func TestShardedHistogramEnvelopeSweep(t *testing.T) {
 						func(t *testing.T) {
 							t.Parallel()
 							runHistogramEnvelopeCheck(t, writers, perG, k,
-								shard.HistShards(s), shard.HistBatch(b))
+								shard.Shards(s), shard.Batch(b))
 						})
 				}
 			}
@@ -174,7 +174,7 @@ func TestShardedHistogramEnvelopeSweep(t *testing.T) {
 func TestHistogramShardingInvariance(t *testing.T) {
 	var want shard.Bounds
 	for s := 1; s <= 4; s++ {
-		hg, err := shard.NewHistogram(4, 3, 40, shard.HistShards(s), shard.HistBatch(5))
+		hg, err := shard.NewHistogram(4, 3, 40, shard.Shards(s), shard.Batch(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestHistogramShardingInvariance(t *testing.T) {
 // steps and stay invisible, the B-th observation flushes every pending
 // bucket at once, and Flush drains the buffer.
 func TestHistogramBatching(t *testing.T) {
-	hg, err := shard.NewHistogram(2, 2, 8, shard.HistShards(2), shard.HistBatch(4))
+	hg, err := shard.NewHistogram(2, 2, 8, shard.Shards(2), shard.Batch(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +253,14 @@ func TestNewHistogramValidation(t *testing.T) {
 		name    string
 		n       int
 		buckets int
-		opts    []shard.HistOption
+		opts    []shard.Option
 		want    string // error substring; "" means valid
 	}{
-		{name: "ok", n: 4, buckets: 16, opts: []shard.HistOption{shard.HistShards(3), shard.HistBatch(16)}},
+		{name: "ok", n: 4, buckets: 16, opts: []shard.Option{shard.Shards(3), shard.Batch(16)}},
 		{name: "zero-procs", n: 0, buckets: 16, want: "process slot"},
 		{name: "zero-buckets", n: 4, buckets: 0, want: "bucket"},
-		{name: "zero-shards", n: 4, buckets: 16, opts: []shard.HistOption{shard.HistShards(0)}, want: "shard count"},
-		{name: "zero-batch", n: 4, buckets: 16, opts: []shard.HistOption{shard.HistBatch(0)}, want: "batch size"},
+		{name: "zero-shards", n: 4, buckets: 16, opts: []shard.Option{shard.Shards(0)}, want: "shard count"},
+		{name: "zero-batch", n: 4, buckets: 16, opts: []shard.Option{shard.Batch(0)}, want: "batch size"},
 	} {
 		_, err := shard.NewHistogram(tc.n, 2, tc.buckets, tc.opts...)
 		if tc.want == "" {
@@ -293,6 +293,6 @@ func FuzzHistogramAccuracy(f *testing.F) {
 		k := uint64(kIn)%15 + 2
 		perG := int(opsIn)%2_000 + 50
 		runHistogramEnvelopeCheck(t, writers, perG, k,
-			shard.HistShards(s), shard.HistBatch(b))
+			shard.Shards(s), shard.Batch(b))
 	})
 }

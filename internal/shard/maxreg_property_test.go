@@ -27,7 +27,7 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 // regularity window — between the writes completed before the read
 // started (vmin) and those started before it returned (vmax), per
 // Bounds.ContainsRange. Returns the true maximum for follow-up checks.
-func runMaxEnvelopeCheck(t *testing.T, writers int, k uint64, perG int, opts ...shard.MaxRegOption) {
+func runMaxEnvelopeCheck(t *testing.T, writers int, k uint64, perG int, opts ...shard.Option) {
 	t.Helper()
 	n := writers + 1 // slot n-1 is the reader
 	m, err := shard.NewMaxReg(n, k, opts...)
@@ -119,15 +119,15 @@ func TestShardedMaxRegEnvelopeSweep(t *testing.T) {
 			for _, b := range []int{1, 7, 32} {
 				// Bound above every written value (max perG*writers + writers - 1).
 				bound := uint64(perG)*uint64(writers) + uint64(writers)
-				common := []shard.MaxRegOption{shard.MaxRegShards(s), shard.MaxRegBatch(b)}
+				common := []shard.Option{shard.Shards(s), shard.Batch(b)}
 				runMaxEnvelopeCheck(t, writers, 1, perG,
-					append(common, shard.WithMaxRegBackend(shard.ExactMaxBackend()))...)
+					append(common, shard.WithBackend(shard.ExactMaxBackend()))...)
 				runMaxEnvelopeCheck(t, writers, 1, perG,
-					append(common, shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(bound)))...)
+					append(common, shard.WithBackend(shard.ExactBoundedMaxBackend(bound)))...)
 				runMaxEnvelopeCheck(t, writers, 3, perG,
-					append(common, shard.WithMaxRegBackend(shard.MultMaxBackend()))...)
+					append(common, shard.WithBackend(shard.MultMaxBackend()))...)
 				runMaxEnvelopeCheck(t, writers, 3, perG,
-					append(common, shard.WithMaxRegBackend(shard.MultBoundedMaxBackend(bound)))...)
+					append(common, shard.WithBackend(shard.MultBoundedMaxBackend(bound)))...)
 			}
 		}
 	}
@@ -144,7 +144,7 @@ func TestMaxRegShardingInvariance(t *testing.T) {
 	} {
 		var want shard.Bounds
 		for i, s := range []int{1, 2, 8} {
-			m, err := shard.NewMaxReg(4, 3, shard.MaxRegShards(s), shard.MaxRegBatch(5), shard.WithMaxRegBackend(be))
+			m, err := shard.NewMaxReg(4, 3, shard.Shards(s), shard.Batch(5), shard.WithBackend(be))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestMaxRegShardingInvariance(t *testing.T) {
 // Flush publishes the pending maximum.
 func TestMaxRegElision(t *testing.T) {
 	const b = 8
-	m, err := shard.NewMaxReg(2, 1, shard.MaxRegShards(2), shard.MaxRegBatch(b))
+	m, err := shard.NewMaxReg(2, 1, shard.Shards(2), shard.Batch(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,22 +211,22 @@ func TestNewMaxRegValidation(t *testing.T) {
 		name string
 		n    int
 		k    uint64
-		opts []shard.MaxRegOption
+		opts []shard.Option
 		want string // substring of the error, "" for success
 	}{
 		{name: "ok-defaults", n: 4, k: 1},
 		{name: "ok-sharded-batched", n: 8, k: 2,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(4), shard.MaxRegBatch(16), shard.WithMaxRegBackend(shard.MultMaxBackend())}},
+			opts: []shard.Option{shard.Shards(4), shard.Batch(16), shard.WithBackend(shard.MultMaxBackend())}},
 		{name: "no-processes", n: 0, k: 1, want: "at least one process"},
-		{name: "zero-shards", n: 4, k: 1, opts: []shard.MaxRegOption{shard.MaxRegShards(0)}, want: "shard count"},
-		{name: "zero-batch", n: 4, k: 1, opts: []shard.MaxRegOption{shard.MaxRegBatch(0)}, want: "batch size"},
+		{name: "zero-shards", n: 4, k: 1, opts: []shard.Option{shard.Shards(0)}, want: "shard count"},
+		{name: "zero-batch", n: 4, k: 1, opts: []shard.Option{shard.Batch(0)}, want: "batch size"},
 		{name: "batch-swallows-bound", n: 4, k: 1,
-			opts: []shard.MaxRegOption{shard.MaxRegBatch(16), shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(16))}, want: "exceeds"},
+			opts: []shard.Option{shard.Batch(16), shard.WithBackend(shard.ExactBoundedMaxBackend(16))}, want: "exceeds"},
 		{name: "batch-at-bound-edge", n: 4, k: 1,
-			opts: []shard.MaxRegOption{shard.MaxRegBatch(15), shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(16))}},
+			opts: []shard.Option{shard.Batch(15), shard.WithBackend(shard.ExactBoundedMaxBackend(16))}},
 		// Backend preconditions surface through NewMaxReg.
 		{name: "mult-k-too-small", n: 4, k: 1,
-			opts: []shard.MaxRegOption{shard.WithMaxRegBackend(shard.MultMaxBackend())}, want: "k must be >= 2"},
+			opts: []shard.Option{shard.WithBackend(shard.MultMaxBackend())}, want: "k must be >= 2"},
 	} {
 		_, err := shard.NewMaxReg(tc.n, tc.k, tc.opts...)
 		if tc.want == "" {
@@ -243,7 +243,7 @@ func TestNewMaxRegValidation(t *testing.T) {
 // backends an out-of-range write panics even when elision would otherwise
 // have swallowed it.
 func TestMaxRegOutOfRangePanics(t *testing.T) {
-	m, err := shard.NewMaxReg(1, 1, shard.MaxRegBatch(8), shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(100)))
+	m, err := shard.NewMaxReg(1, 1, shard.Batch(8), shard.WithBackend(shard.ExactBoundedMaxBackend(100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,6 +275,6 @@ func FuzzShardedMaxRegAccuracy(f *testing.F) {
 		k := uint64(kIn)%15 + 2
 		perG := int(opsIn)%2_000 + 50
 		runMaxEnvelopeCheck(t, writers, k, perG,
-			shard.MaxRegShards(s), shard.MaxRegBatch(b), shard.WithMaxRegBackend(shard.MultMaxBackend()))
+			shard.Shards(s), shard.Batch(b), shard.WithBackend(shard.MultMaxBackend()))
 	})
 }

@@ -397,8 +397,8 @@ type slotBinding[H any] struct {
 
 // plane is the generic sharded object: S shards of O combined on read by
 // the kind's Combine, with handle-local buffering per the kind's policy.
-// Kind-specific object types wrap it and add nothing but their mutation
-// signature.
+// Kind-specific object types embed it (so its accessors are theirs) and
+// add nothing but their Handle constructor.
 type plane[O any, H Reader[V], V any] struct {
 	rt       *runtime[O]
 	k        uint64
@@ -423,49 +423,60 @@ type plane[O any, H Reader[V], V any] struct {
 	tel *telemetry.Sink
 }
 
-// newPlane validates the shared configuration (batch range, batch vs.
-// backend bound, read-cache slot reservation) and builds S shards of n
-// slots each. readStale > 0 enables the read-combiner tier with that
-// staleness window, built by mkCache (the kind's value-shape cache:
-// newScalarReadCache or newVecReadCache); the LAST of the n slots is
-// then reserved for the background combiner goroutine and must not be
-// handed out. readInto is the per-shard read into a reused buffer, nil
-// for scalar kinds.
+// newPlane applies opts over the defaults (one shard, no buffering, the
+// kind's default backend def), validates the result (backend kind, batch
+// range, batch vs. backend bound, read-cache slot reservation), and
+// builds S shards of n slots each. A positive ReadCache staleness
+// enables the read-combiner tier, built by mkCache (the kind's
+// value-shape cache: newScalarReadCache or newVecReadCache); the LAST of
+// the n slots is then reserved for the background combiner goroutine
+// and must not be handed out. readInto is the per-shard read into a
+// reused buffer, nil for scalar kinds.
 func newPlane[O any, H Reader[V], V any](
-	n int, k uint64, shards, batch int, readStale time.Duration, tel *telemetry.Sink,
-	be backend[O], pol policy,
+	n int, k uint64, opts []Option, def backend[O], pol policy,
 	handleOf func(o O, p *prim.Proc) H, combine Combine[V],
 	readInto func(h H, dst V) V, mkCache func(d time.Duration) readCache[V],
 ) (*plane[O, H, V], error) {
-	if batch < 1 {
-		return nil, errBatch(batch)
+	cfg := config{shards: 1, batch: 1}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	be := def
+	if cfg.backend != nil {
+		var ok bool
+		if be, ok = cfg.backend.(backend[O]); !ok {
+			return nil, fmt.Errorf("shard: backend %T builds another object kind", cfg.backend)
+		}
+	}
+	if cfg.batch < 1 {
+		return nil, fmt.Errorf("shard: batch size must be >= 1, got %d", cfg.batch)
 	}
 	// Legal writes satisfy v < m, so the largest is m-1: an elision
 	// window of B-1 >= m-1 (i.e. B >= m) would swallow every legal write.
-	if be.bound > 0 && uint64(batch) >= be.bound {
-		return nil, fmt.Errorf("shard: batch %d exceeds the %d-bounded backend's value range", batch, be.bound)
+	if be.bound > 0 && uint64(cfg.batch) >= be.bound {
+		return nil, fmt.Errorf("shard: batch %d exceeds the %d-bounded backend's value range", cfg.batch, be.bound)
 	}
-	if readStale < 0 {
-		return nil, fmt.Errorf("shard: read-cache staleness must be >= 0, got %v", readStale)
+	if cfg.readStale < 0 {
+		return nil, fmt.Errorf("shard: read-cache staleness must be >= 0, got %v", cfg.readStale)
 	}
-	if readStale > 0 && n < 2 {
+	if cfg.readStale > 0 && n < 2 {
 		return nil, fmt.Errorf("shard: read cache needs a dedicated combiner slot (n >= 2), got n = %d", n)
 	}
-	rt, err := newRuntime(be.name, n, shards, tel, func(f *prim.Factory) (O, error) {
+	rt, err := newRuntime(be.name, n, cfg.shards, cfg.tel, func(f *prim.Factory) (O, error) {
 		return be.make(f, k)
 	})
 	if err != nil {
 		return nil, err
 	}
 	p := &plane[O, H, V]{
-		rt: rt, k: k, batch: uint64(batch), be: be, pol: pol,
+		rt: rt, k: k, batch: uint64(cfg.batch), be: be, pol: pol,
 		handleOf: handleOf, combine: combine, readInto: readInto,
 		slots: make([]slotBinding[H], n),
-		tel:   tel,
+		tel:   cfg.tel,
 	}
-	if readStale > 0 {
-		p.cache = mkCache(readStale)
-		p.cache.instrument(tel)
+	if cfg.readStale > 0 {
+		p.cache = mkCache(cfg.readStale)
+		p.cache.instrument(cfg.tel)
 		// The combiner owns the reserved last slot outright: handles for
 		// it are refused (newCore), so its per-shard readers and its
 		// core's scratch buffers race with nothing.
@@ -473,15 +484,6 @@ func newPlane[O any, H Reader[V], V any](
 		go p.cache.run(core.combinedInto)
 	}
 	return p, nil
-}
-
-// ReadCache returns the read-cache staleness window (0 when the
-// read-combiner tier is off).
-func (p *plane[O, H, V]) ReadCache() time.Duration {
-	if p.cache == nil {
-		return 0
-	}
-	return p.cache.staleness()
 }
 
 // Close stops the plane's background combiner goroutine, if any, and
@@ -496,14 +498,15 @@ func (p *plane[O, H, V]) Close() {
 // N returns the number of process slots.
 func (p *plane[O, H, V]) N() int { return p.rt.n }
 
-// K returns the accuracy parameter passed to the backend.
-func (p *plane[O, H, V]) K() uint64 { return p.k }
-
 // Shards returns the shard count S.
 func (p *plane[O, H, V]) Shards() int { return len(p.rt.shards) }
 
 // Batch returns the per-handle buffer size B (1 means unbuffered).
 func (p *plane[O, H, V]) Batch() uint64 { return p.batch }
+
+// sink returns the telemetry sink the plane was built with (nil when
+// uninstrumented); the epoch ring reports its own events into it.
+func (p *plane[O, H, V]) sink() *telemetry.Sink { return p.tel }
 
 // Bounds composes the combined read envelope from the backend's
 // per-shard envelope and the kind's policy row: Add widens by S iff the

@@ -10,12 +10,13 @@ import (
 // runtime is the shard-allocation core of the backend plane: S
 // independent instances of one underlying object ("shards"), each built
 // over its own n-slot prim.Factory so that any process slot can reach
-// every shard. Every kind (Counter, MaxReg, Snapshot) shares it through
-// the generic plane in plane.go — what differs per kind is declared
-// there as a policy row (a Combine for reads, a bufferPolicy for
-// handle-local mutations) plus a backend set. To add object family N+1,
-// register those in a new kind file next to snapshot.go; do not grow
-// bespoke paths here.
+// every shard. Every kind (Counter, MaxReg, Snapshot, Histogram) shares
+// it through the generic plane in plane.go, which it embeds — what
+// differs per kind is declared there as a policy row (a Combine for
+// reads, a bufferPolicy for handle-local mutations), a backend set, and
+// a default backend; the Option family is shared by all of them. To add
+// object family N+1, register those in a new kind file next to
+// snapshot.go; do not grow bespoke paths or options here.
 type runtime[O any] struct {
 	n      int
 	shards []O
@@ -65,12 +66,6 @@ func (rt *runtime[O]) slotProcs(i int) []*prim.Proc {
 // mutations all land on shard i mod S, keeping its cache traffic within
 // one shard's base objects).
 func (rt *runtime[O]) home(i int) int { return i % len(rt.shards) }
-
-// errBatch rejects non-positive per-handle buffer sizes (shared by both
-// kinds' constructors).
-func errBatch(b int) error {
-	return fmt.Errorf("shard: batch size must be >= 1, got %d", b)
-}
 
 // stepsOf sums the shared-memory steps a slot has taken across all shards.
 func stepsOf(procs []*prim.Proc) uint64 {

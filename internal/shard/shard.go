@@ -32,13 +32,21 @@
 // policy row, not re-growing the plumbing.
 //
 // Every kind can additionally enable the read-combiner tier (the
-// per-kind ReadCache options; see readcache.go): the plane keeps one
+// ReadCache option; see readcache.go): the plane keeps one
 // pre-combined cell — refreshed by a background combiner goroutine on a
 // reserved slot and by read-triggered inline refreshes — so reads are
 // O(1) in S at the cost of a bounded staleness window, reported as the
 // Stale term of Bounds.
 //
 // # Construction
+//
+// Every kind is configured by the same Option family — Shards, Batch,
+// WithBackend, ReadCache, and Telemetry — applied once by the plane's
+// constructor over the kind's defaults (one shard, B = 1, the kind's
+// default backend, no read cache, no telemetry). The windowed
+// constructors take the same options for each epoch. WithBackend is
+// generic over the backend's object type, so a backend of another kind
+// compiles but is refused when the object is built.
 //
 // A sharded object for n process slots is S underlying objects
 // ("shards"), each built over its own prim.Factory with n slots. Handle
@@ -218,42 +226,60 @@ func RandomizedBackend(delta float64, seed int64) Backend {
 	}
 }
 
-// Option configures a sharded counter.
+// Option configures a sharded object of any kind: New, NewMaxReg,
+// NewSnapshot, NewHistogram, and their windowed variants all take the
+// same family.
 type Option func(*config)
 
 type config struct {
 	shards    int
 	batch     int
-	backend   Backend
+	backend   any // a backend[O]; nil selects the kind's default
 	readStale time.Duration
 	tel       *telemetry.Sink
 }
 
-// Shards sets the shard count S (default 1). Increments spread across
-// shards by handle affinity; reads cost one underlying read per shard.
+// Shards sets the shard count S (default 1). Mutations spread across
+// shards by handle affinity; reads cost one underlying read per shard
+// and fold them with the kind's combine (see the package comment for
+// how each combine composes the per-shard envelopes).
 func Shards(s int) Option { return func(c *config) { c.shards = s } }
 
-// Batch sets the per-handle increment buffer B (default 1, i.e. no
-// buffering). A handle flushes its buffer to the home shard every B
-// increments, so at most (B-1) increments per handle are invisible to
-// readers between flushes; Counter.Bounds accounts for them.
+// Batch sets the per-handle buffer B (default 1, i.e. no buffering).
+// Its meaning follows the kind's buffer policy: a counter handle
+// flushes every B increments, a histogram handle every B observations,
+// a max-register handle elides writes within B-1 of its last flushed
+// value, and a snapshot handle elides component updates in the window
+// [flushed, flushed+B-1]. Bounds reports the resulting headroom as the
+// Buffer term.
 func Batch(b int) Option { return func(c *config) { c.batch = b } }
 
-// WithBackend selects the per-shard counter implementation (default
-// MultBackend).
-func WithBackend(b Backend) Option { return func(c *config) { c.backend = b } }
+// WithBackend selects the per-shard implementation. The defaults are
+// MultBackend for counters, ExactMaxBackend for max registers,
+// ExactSnapshotBackend for snapshots, and BucketHistBackend over the
+// requested bucket count for histograms. The backend's kind is checked
+// when the object is built, not at compile time: a backend of another
+// kind (say, a counter backend passed to NewMaxReg) makes the
+// constructor return an error.
+func WithBackend[O any](b backend[O]) Option {
+	var boxed any = b // boxed once here, not on every construction
+	return func(c *config) { c.backend = boxed }
+}
 
 // ReadCache enables the read-combiner tier (default off): reads serve a
-// pre-combined cell at most d old in O(1) instead of summing S shard
-// reads, at the cost of the Stale term in Bounds. The counter's LAST
-// slot is reserved for the background combiner goroutine (so n must be
-// >= 2); stop it with Close.
+// pre-combined cell at most d old — O(1) for scalar kinds, O(components)
+// or O(buckets) for vector kinds, independent of S — instead of folding
+// S shard reads, at the cost of the Stale term in Bounds. The object's
+// LAST slot is reserved for the background combiner goroutine (so n
+// must be >= 2; a snapshot's last component stays zero); stop it with
+// Close.
 func ReadCache(d time.Duration) Option { return func(c *config) { c.readStale = d } }
 
-// Telemetry attaches an internal telemetry sink to the counter's runtime
+// Telemetry attaches an internal telemetry sink to the object's runtime
 // paths (flushes, buffer hits, read-cache traffic, combiner ticks, arena
-// rows). The default, nil, disables instrumentation entirely: the hot
-// paths see a single never-taken branch.
+// rows, and window rotations). The default, nil, disables
+// instrumentation entirely: the hot paths see a single never-taken
+// branch.
 func Telemetry(s *telemetry.Sink) Option { return func(c *config) { c.tel = s } }
 
 // Bounds is the documented read envelope of a sharded object: against a
@@ -280,7 +306,7 @@ var counterPolicy = policy{
 // Counter is the sharded counter: S independently accurate shards summed
 // by readers. Create handles with Handle; the zero value is not usable.
 type Counter struct {
-	p *plane[object.Counter, object.CounterHandle, uint64]
+	*plane[object.Counter, object.CounterHandle, uint64]
 }
 
 // New creates a sharded counter for n process slots with accuracy
@@ -288,58 +314,22 @@ type Counter struct {
 // n-slot prim.Factory, so any handle can read every shard; backend
 // preconditions (e.g. k >= sqrt(n) for MultBackend) apply per shard.
 func New(n int, k uint64, opts ...Option) (*Counter, error) {
-	cfg := config{shards: 1, batch: 1, backend: MultBackend()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	p, err := newPlane(n, k, cfg.shards, cfg.batch, cfg.readStale, cfg.tel, cfg.backend, counterPolicy,
+	p, err := newPlane(n, k, opts, MultBackend(), counterPolicy,
 		func(o object.Counter, pr *prim.Proc) object.CounterHandle { return o.CounterHandle(pr) },
 		satmath.Add, nil, newScalarReadCache,
 	)
 	if err != nil {
 		return nil, err
 	}
-	return &Counter{p: p}, nil
+	return &Counter{p}, nil
 }
-
-// N returns the number of process slots.
-func (c *Counter) N() int { return c.p.N() }
-
-// K returns the accuracy parameter passed to the backend.
-func (c *Counter) K() uint64 { return c.p.K() }
-
-// Shards returns the shard count S.
-func (c *Counter) Shards() int { return c.p.Shards() }
-
-// Batch returns the per-handle buffer size B (1 means unbuffered).
-func (c *Counter) Batch() uint64 { return c.p.Batch() }
-
-// Backend returns the configured backend.
-func (c *Counter) Backend() Backend { return c.p.be }
-
-// ReadCache returns the read-cache staleness window (0 when off).
-func (c *Counter) ReadCache() time.Duration { return c.p.ReadCache() }
-
-// Close stops the read cache's background combiner goroutine, if any.
-// Idempotent; handles stay usable (cached reads refresh inline).
-func (c *Counter) Close() { c.p.Close() }
-
-// Bounds returns the combined read envelope for this configuration (see
-// the package comment for the composition argument).
-func (c *Counter) Bounds() Bounds { return c.p.Bounds() }
-
-// BaseObjects returns the number of base objects allocated across all
-// shards — the counter's space cost in the paper's model.
-func (c *Counter) BaseObjects() uint64 { return c.p.BaseObjects() }
-
-func (c *Counter) sink() *telemetry.Sink { return c.p.tel }
 
 // Handle binds process slot i (0 <= i < n) to the counter. The handle
 // increments shard i mod S and reads all shards through slot i of each
 // shard's factory. Like every handle in this repository it must be used by
 // a single goroutine.
 func (c *Counter) Handle(i int) *Handle {
-	h := &Handle{handleCore: c.p.newCore(i)}
+	h := &Handle{handleCore: c.newCore(i)}
 	if bulk, ok := h.home.(object.BulkCounterHandle); ok {
 		h.buf.flush = bulk.IncN
 	} else {

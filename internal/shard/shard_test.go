@@ -3,15 +3,51 @@ package shard_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"approxobj/internal/core"
 	"approxobj/internal/prim"
 	"approxobj/internal/shard"
 )
 
+// closer is what every constructor under TestNewValidation returns.
+type closer interface{ Close() }
+
+// validationKinds lists every constructor that takes the shared option
+// family: the four cumulative kinds and their windowed rings (an hour
+// window, so no rotation fires during the test).
+var validationKinds = []struct {
+	name string
+	mk   func(n int, k uint64, opts ...shard.Option) (closer, error)
+}{
+	{"counter", func(n int, k uint64, opts ...shard.Option) (closer, error) { return shard.New(n, k, opts...) }},
+	{"maxreg", func(n int, k uint64, opts ...shard.Option) (closer, error) { return shard.NewMaxReg(n, k, opts...) }},
+	{"snapshot", func(n int, k uint64, opts ...shard.Option) (closer, error) { return shard.NewSnapshot(n, k, opts...) }},
+	{"histogram", func(n int, k uint64, opts ...shard.Option) (closer, error) {
+		return shard.NewHistogram(n, k, 16, opts...)
+	}},
+	{"windowed-counter", func(n int, k uint64, opts ...shard.Option) (closer, error) {
+		return shard.NewWindowedCounter(n, k, time.Hour, 2, opts...)
+	}},
+	{"windowed-maxreg", func(n int, k uint64, opts ...shard.Option) (closer, error) {
+		return shard.NewWindowedMaxReg(n, k, time.Hour, 2, opts...)
+	}},
+	{"windowed-snapshot", func(n int, k uint64, opts ...shard.Option) (closer, error) {
+		return shard.NewWindowedSnapshot(n, k, time.Hour, 2, opts...)
+	}},
+	{"windowed-histogram", func(n int, k uint64, opts ...shard.Option) (closer, error) {
+		return shard.NewWindowedHistogram(n, k, 16, time.Hour, 2, opts...)
+	}},
+}
+
+// TestNewValidation runs one table of configurations against every
+// constructor: the option family is shared, so its validation must be
+// too. A backend built for another kind is accepted by the type system
+// (WithBackend is generic) and must be refused at construction.
 func TestNewValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		only string // a counter-only row names its kind; "" runs on all
 		n    int
 		k    uint64
 		opts []shard.Option
@@ -19,21 +55,49 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{name: "ok-defaults", n: 4, k: 2},
 		{name: "ok-sharded-batched", n: 8, k: 4, opts: []shard.Option{shard.Shards(4), shard.Batch(16)}},
+		{name: "ok-read-cache", n: 4, k: 2, opts: []shard.Option{shard.ReadCache(time.Hour)}},
 		{name: "no-processes", n: 0, k: 2, want: "at least one process"},
 		{name: "zero-shards", n: 4, k: 2, opts: []shard.Option{shard.Shards(0)}, want: "shard count"},
 		{name: "zero-batch", n: 4, k: 2, opts: []shard.Option{shard.Batch(0)}, want: "batch size"},
+		{name: "negative-staleness", n: 4, k: 2, opts: []shard.Option{shard.ReadCache(-time.Second)}, want: "staleness"},
+		{name: "read-cache-one-slot", n: 1, k: 2, opts: []shard.Option{shard.ReadCache(time.Hour)}, want: "combiner slot"},
+		// Backends of another kind: a counter backend everywhere but on
+		// counters, which get a max-register one.
+		{name: "foreign-backend", only: "!counter", n: 4, k: 2,
+			opts: []shard.Option{shard.WithBackend(shard.MultBackend())}, want: "another object kind"},
+		{name: "foreign-backend", only: "counter", n: 4, k: 2,
+			opts: []shard.Option{shard.WithBackend(shard.ExactMaxBackend())}, want: "another object kind"},
+		{name: "foreign-backend-snapshot", only: "histogram", n: 4, k: 2,
+			opts: []shard.Option{shard.WithBackend(shard.ExactSnapshotBackend())}, want: "another object kind"},
 		// The mult backend's k >= sqrt(n) precondition applies per shard
 		// (every shard has n slots) and surfaces through New.
-		{name: "k-too-small", n: 16, k: 2, want: "sqrt(n)"},
-		{name: "aach-ignores-k", n: 16, k: 2, opts: []shard.Option{shard.WithBackend(shard.AACHBackend())}},
+		{name: "k-too-small", only: "counter", n: 16, k: 2, want: "sqrt(n)"},
+		{name: "aach-ignores-k", only: "counter", n: 16, k: 2, opts: []shard.Option{shard.WithBackend(shard.AACHBackend())}},
 	} {
-		_, err := shard.New(tc.n, tc.k, tc.opts...)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
+		for _, kind := range validationKinds {
+			base := strings.TrimPrefix(kind.name, "windowed-")
+			switch {
+			case tc.only == "":
+			case strings.HasPrefix(tc.only, "!"):
+				if base == tc.only[1:] {
+					continue
+				}
+			case base != tc.only:
+				continue
 			}
-		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
+			obj, err := kind.mk(tc.n, tc.k, tc.opts...)
+			if tc.want == "" {
+				if err != nil {
+					t.Errorf("%s/%s: unexpected error %v", kind.name, tc.name, err)
+					continue
+				}
+				obj.Close()
+			} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%s: got error %v, want one containing %q", kind.name, tc.name, err, tc.want)
+				if err == nil {
+					obj.Close()
+				}
+			}
 		}
 	}
 }

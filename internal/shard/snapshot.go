@@ -1,12 +1,9 @@
 package shard
 
 import (
-	"time"
-
 	"approxobj/internal/object"
 	"approxobj/internal/prim"
 	"approxobj/internal/snapshot"
-	"approxobj/internal/telemetry"
 )
 
 // SnapshotBackend constructs one shard's underlying single-writer atomic
@@ -28,52 +25,17 @@ func ExactSnapshotBackend() SnapshotBackend {
 	}
 }
 
-// SnapshotOption configures a sharded snapshot.
-type SnapshotOption func(*snapshotConfig)
+// SnapshotShards is Shards, kept only for the benchmark module, which
+// calls it; it goes when the benchmark next changes.
+func SnapshotShards(s int) Option { return Shards(s) }
 
-type snapshotConfig struct {
-	shards    int
-	batch     int
-	backend   SnapshotBackend
-	readStale time.Duration
-	tel       *telemetry.Sink
-}
+// SnapshotBatch is Batch, kept only for the benchmark module, which
+// calls it; it goes when the benchmark next changes.
+func SnapshotBatch(b int) Option { return Batch(b) }
 
-// SnapshotShards sets the shard count S (default 1). Component updates
-// spread across shards by handle affinity — slot i's component lives
-// only in shard i mod S — so a scan merges a partition: reads cost one
-// underlying scan per shard and the envelope does not widen with S.
-func SnapshotShards(s int) SnapshotOption { return func(c *snapshotConfig) { c.shards = s } }
-
-// SnapshotBatch sets the per-handle component-elision window B (default
-// 1). A handle remembers the last component value it flushed to its home
-// shard and elides updates in the window [flushed, flushed+B-1], keeping
-// the LATEST elided value locally until a move outside the window (in
-// particular any downward move) or Flush publishes it. A scanned
-// component therefore trails its true value by at most B-1 and never
-// exceeds it; Snapshot.Bounds reports that headroom as the Buffer term.
-func SnapshotBatch(b int) SnapshotOption { return func(c *snapshotConfig) { c.batch = b } }
-
-// WithSnapshotBackend selects the per-shard snapshot implementation
-// (default ExactSnapshotBackend).
-func WithSnapshotBackend(b SnapshotBackend) SnapshotOption {
-	return func(c *snapshotConfig) { c.backend = b }
-}
-
-// SnapshotReadCache enables the read-combiner tier (default off): scans
-// serve a pre-combined component vector at most d old in O(components)
-// — independent of S — instead of merging S shard scans, at the cost of
-// the Stale term in Bounds. The snapshot's LAST slot is reserved for
-// the background combiner goroutine (so n must be >= 2; that slot's
-// component stays zero); stop it with Close.
-func SnapshotReadCache(d time.Duration) SnapshotOption {
-	return func(c *snapshotConfig) { c.readStale = d }
-}
-
-// SnapshotTelemetry attaches an internal telemetry sink (see Telemetry).
-func SnapshotTelemetry(s *telemetry.Sink) SnapshotOption {
-	return func(c *snapshotConfig) { c.tel = s }
-}
+// WithSnapshotBackend is WithBackend, kept only for the benchmark
+// module, which calls it; it goes when the benchmark next changes.
+func WithSnapshotBackend(b SnapshotBackend) Option { return WithBackend(b) }
 
 // snapshotPolicy is the snapshot's row of the plane: reads merge the
 // shards per component (each component lives in one shard, so nothing
@@ -108,74 +70,38 @@ func mergeComponents(acc, next []uint64) []uint64 {
 
 // Snapshot is the sharded single-writer atomic snapshot: S shards whose
 // scans are merged per component. Component i is written only through
-// handle i (single-writer); any handle scans all components. Create
-// handles with Handle; the zero value is not usable.
+// handle i (single-writer); any handle scans all components. Its Bounds
+// apply per component: Mult is the backend's per-shard factor (the
+// merged scan is a scan of a partition, so sharding adds nothing), and
+// Buffer is the component-elision headroom B-1, which does not scale
+// with n or S. Create handles with Handle; the zero value is not
+// usable.
 type Snapshot struct {
-	p *plane[object.Snapshot, snapHandle, []uint64]
+	*plane[object.Snapshot, snapHandle, []uint64]
 }
 
 // NewSnapshot creates a sharded snapshot for n process slots (= n
 // components) with accuracy parameter k (ignored by the exact backend),
-// configured by opts. Each shard is built over its own n-slot
-// prim.Factory, so any handle can scan every shard.
-func NewSnapshot(n int, k uint64, opts ...SnapshotOption) (*Snapshot, error) {
-	cfg := snapshotConfig{shards: 1, batch: 1, backend: ExactSnapshotBackend()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	p, err := newPlane(n, k, cfg.shards, cfg.batch, cfg.readStale, cfg.tel, cfg.backend, snapshotPolicy,
+// configured by opts (default backend ExactSnapshotBackend). Each shard
+// is built over its own n-slot prim.Factory, so any handle can scan
+// every shard.
+func NewSnapshot(n int, k uint64, opts ...Option) (*Snapshot, error) {
+	p, err := newPlane(n, k, opts, ExactSnapshotBackend(), snapshotPolicy,
 		func(o object.Snapshot, pr *prim.Proc) snapHandle { return snapHandle{o.SnapshotHandle(pr)} },
 		mergeComponents, scanInto, newVecReadCache,
 	)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{p: p}, nil
+	return &Snapshot{p}, nil
 }
-
-// N returns the number of process slots (= components).
-func (s *Snapshot) N() int { return s.p.N() }
-
-// K returns the accuracy parameter passed to the backend.
-func (s *Snapshot) K() uint64 { return s.p.K() }
-
-// Shards returns the shard count S.
-func (s *Snapshot) Shards() int { return s.p.Shards() }
-
-// Batch returns the per-handle component-elision window B (1 means every
-// component change is flushed immediately).
-func (s *Snapshot) Batch() uint64 { return s.p.Batch() }
-
-// Backend returns the configured backend.
-func (s *Snapshot) Backend() SnapshotBackend { return s.p.be }
-
-// ReadCache returns the read-cache staleness window (0 when off).
-func (s *Snapshot) ReadCache() time.Duration { return s.p.ReadCache() }
-
-// Close stops the read cache's background combiner goroutine, if any.
-// Idempotent; handles stay usable (cached scans refresh inline).
-func (s *Snapshot) Close() { s.p.Close() }
-
-// Bounds returns the per-component read envelope for this configuration:
-// Mult is the backend's per-shard factor (sharding adds nothing — the
-// merged scan is a scan of a partition), and Buffer is the
-// component-elision headroom B-1, per component (components are disjoint
-// across handles, so it does not scale with n or S). Each scanned
-// component obeys the envelope against its own true value.
-func (s *Snapshot) Bounds() Bounds { return s.p.Bounds() }
-
-// BaseObjects returns the number of base objects allocated across all
-// shards — the snapshot's space cost in the paper's model.
-func (s *Snapshot) BaseObjects() uint64 { return s.p.BaseObjects() }
-
-func (s *Snapshot) sink() *telemetry.Sink { return s.p.tel }
 
 // Handle binds process slot i (0 <= i < n) to the snapshot. The handle
 // owns component i: its updates land in shard i mod S, and its scans
 // merge all shards through slot i of each shard's factory. Like every
 // handle in this repository it must be used by a single goroutine.
 func (s *Snapshot) Handle(i int) *SnapshotHandle {
-	h := &SnapshotHandle{handleCore: s.p.newCore(i), slot: i}
+	h := &SnapshotHandle{handleCore: s.newCore(i), slot: i}
 	h.buf.flush = h.home.Update
 	// A fresh handle must not elide relative to a stale zero: a
 	// re-created handle for a slot that has written before would
@@ -206,7 +132,7 @@ type SnapshotHandle struct {
 // Component returns the index of the component this handle writes.
 func (h *SnapshotHandle) Component() int { return h.slot }
 
-// Update sets this handle's component to v. With SnapshotBatch(B > 1),
+// Update sets this handle's component to v. With Batch(B > 1),
 // updates in the window [flushed, flushed+B-1] above the last flushed
 // value are elided — kept locally as the pending component value — while
 // any move outside the window (including every downward move) is written

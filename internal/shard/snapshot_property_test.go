@@ -18,7 +18,7 @@ import (
 // updates completed before the scan started and those started before it
 // returned (planetest.Window computes the value hull of that window —
 // tight for the monotone sequence, conservative for the mixed one).
-func runSnapshotEnvelopeCheck(t *testing.T, writers, perG int, mixed bool, opts ...shard.SnapshotOption) {
+func runSnapshotEnvelopeCheck(t *testing.T, writers, perG int, mixed bool, opts ...shard.Option) {
 	t.Helper()
 	n := writers + 1 // slot n-1 is the reader
 	sn, err := shard.NewSnapshot(n, 1, opts...)
@@ -124,7 +124,7 @@ func TestShardedSnapshotEnvelopeSweep(t *testing.T) {
 						func(t *testing.T) {
 							t.Parallel()
 							runSnapshotEnvelopeCheck(t, writers, perG, mixed,
-								shard.SnapshotShards(s), shard.SnapshotBatch(b))
+								shard.Shards(s), shard.Batch(b))
 						})
 				}
 			}
@@ -151,7 +151,7 @@ func itoa(v int) string {
 func TestSnapshotShardingInvariance(t *testing.T) {
 	var want shard.Bounds
 	for s := 1; s <= 4; s++ {
-		sn, err := shard.NewSnapshot(4, 1, shard.SnapshotShards(s), shard.SnapshotBatch(5))
+		sn, err := shard.NewSnapshot(4, 1, shard.Shards(s), shard.Batch(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestSnapshotShardingInvariance(t *testing.T) {
 // write through, Flush publishes the pending value.
 func TestSnapshotElision(t *testing.T) {
 	const b = 4 // elision window [flushed, flushed+3]
-	sn, err := shard.NewSnapshot(2, 1, shard.SnapshotShards(2), shard.SnapshotBatch(b))
+	sn, err := shard.NewSnapshot(2, 1, shard.Shards(2), shard.Batch(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestSnapshotElision(t *testing.T) {
 // anchored at the component's currently flushed value, not at zero, so a
 // downward move still writes through.
 func TestSnapshotHandleRecreation(t *testing.T) {
-	sn, err := shard.NewSnapshot(2, 1, shard.SnapshotBatch(8))
+	sn, err := shard.NewSnapshot(2, 1, shard.Batch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestSnapshotHandleRecreation(t *testing.T) {
 // delta around Handle.)
 func TestSnapshotHandleConstructionCost(t *testing.T) {
 	for _, s := range []int{1, 3} {
-		sn, err := shard.NewSnapshot(8, 1, shard.SnapshotShards(s), shard.SnapshotBatch(4))
+		sn, err := shard.NewSnapshot(8, 1, shard.Shards(s), shard.Batch(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,13 +327,13 @@ func TestNewSnapshotValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		n    int
-		opts []shard.SnapshotOption
+		opts []shard.Option
 		want string // error substring; "" means valid
 	}{
-		{name: "ok", n: 4, opts: []shard.SnapshotOption{shard.SnapshotShards(3), shard.SnapshotBatch(16)}},
+		{name: "ok", n: 4, opts: []shard.Option{shard.Shards(3), shard.Batch(16)}},
 		{name: "zero-procs", n: 0, want: "process slot"},
-		{name: "zero-shards", n: 4, opts: []shard.SnapshotOption{shard.SnapshotShards(0)}, want: "shard count"},
-		{name: "zero-batch", n: 4, opts: []shard.SnapshotOption{shard.SnapshotBatch(0)}, want: "batch size"},
+		{name: "zero-shards", n: 4, opts: []shard.Option{shard.Shards(0)}, want: "shard count"},
+		{name: "zero-batch", n: 4, opts: []shard.Option{shard.Batch(0)}, want: "batch size"},
 	} {
 		_, err := shard.NewSnapshot(tc.n, 1, tc.opts...)
 		if tc.want == "" {
@@ -365,6 +365,6 @@ func FuzzSnapshotAccuracy(f *testing.F) {
 		b := int(bIn)%64 + 1
 		perG := int(opsIn)%2_000 + 50
 		runSnapshotEnvelopeCheck(t, writers, perG, mixed,
-			shard.SnapshotShards(s), shard.SnapshotBatch(b))
+			shard.Shards(s), shard.Batch(b))
 	})
 }

@@ -18,15 +18,15 @@ func TestShardedSnapshotConcurrentSoak(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		n    int
-		opts []shard.SnapshotOption
+		opts []shard.Option
 		perG int
 	}{
 		{name: "1shard", n: 4, perG: 2_000},
-		{name: "4shards", n: 8, opts: []shard.SnapshotOption{shard.SnapshotShards(4)}, perG: 2_000},
+		{name: "4shards", n: 8, opts: []shard.Option{shard.Shards(4)}, perG: 2_000},
 		{name: "4shards-batch16", n: 8,
-			opts: []shard.SnapshotOption{shard.SnapshotShards(4), shard.SnapshotBatch(16)}, perG: 2_000},
+			opts: []shard.Option{shard.Shards(4), shard.Batch(16)}, perG: 2_000},
 		{name: "3shards-batch64", n: 6,
-			opts: []shard.SnapshotOption{shard.SnapshotShards(3), shard.SnapshotBatch(64)}, perG: 1_000},
+			opts: []shard.Option{shard.Shards(3), shard.Batch(64)}, perG: 1_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sn, err := shard.NewSnapshot(tc.n, 1, tc.opts...)

@@ -65,8 +65,9 @@ import (
 // reported as the Window term of Bounds.
 
 // epochObj is what the ring needs from one epoch instance. Every kind
-// object (*Counter, *MaxReg, *Snapshot, *Histogram) provides it, so the
-// ring binds, bounds, sizes, and closes epochs without per-kind glue.
+// object (*Counter, *MaxReg, *Snapshot, *Histogram) provides it — Handle
+// itself, the rest through its embedded plane — so the ring binds,
+// bounds, sizes, and closes epochs without per-kind glue.
 type epochObj[H any] interface {
 	Handle(i int) H
 	Bounds() Bounds
@@ -433,7 +434,7 @@ type WindowedMaxReg struct {
 
 // NewWindowedMaxReg builds a windowed max register: a ring of `epochs`
 // instances of NewMaxReg(n, k, opts...) rotated every d/epochs.
-func NewWindowedMaxReg(n int, k uint64, d time.Duration, epochs int, opts ...MaxRegOption) (*WindowedMaxReg, error) {
+func NewWindowedMaxReg(n int, k uint64, d time.Duration, epochs int, opts ...Option) (*WindowedMaxReg, error) {
 	w, err := newWindow[*MaxReg, *MaxRegHandle](d, epochs, func() (*MaxReg, error) { return NewMaxReg(n, k, opts...) }, maxOf, false)
 	if err != nil {
 		return nil, err
@@ -467,7 +468,7 @@ type WindowedSnapshot struct {
 
 // NewWindowedSnapshot builds a windowed snapshot: a ring of `epochs`
 // instances of NewSnapshot(n, k, opts...) rotated every d/epochs.
-func NewWindowedSnapshot(n int, k uint64, d time.Duration, epochs int, opts ...SnapshotOption) (*WindowedSnapshot, error) {
+func NewWindowedSnapshot(n int, k uint64, d time.Duration, epochs int, opts ...Option) (*WindowedSnapshot, error) {
 	w, err := newWindow[*Snapshot, *SnapshotHandle](d, epochs, func() (*Snapshot, error) { return NewSnapshot(n, k, opts...) }, mergeComponents, false)
 	if err != nil {
 		return nil, err
@@ -514,7 +515,7 @@ type WindowedHistogram struct {
 // NewWindowedHistogram builds a windowed histogram: a ring of `epochs`
 // instances of NewHistogram(n, k, buckets, opts...) rotated every
 // d/epochs.
-func NewWindowedHistogram(n int, k uint64, buckets int, d time.Duration, epochs int, opts ...HistOption) (*WindowedHistogram, error) {
+func NewWindowedHistogram(n int, k uint64, buckets int, d time.Duration, epochs int, opts ...Option) (*WindowedHistogram, error) {
 	w, err := newWindow[*Histogram, *HistHandle](d, epochs, func() (*Histogram, error) { return NewHistogram(n, k, buckets, opts...) }, sumBuckets, false)
 	if err != nil {
 		return nil, err

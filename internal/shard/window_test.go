@@ -73,14 +73,14 @@ func TestWindowedCounterExpiry(t *testing.T) {
 // and the histogram's buckets all expire to zero/empty.
 func TestWindowedKindsExpireToEmpty(t *testing.T) {
 	const epochs = 3
-	m, err := NewWindowedMaxReg(2, 1, hourWindow, epochs, WithMaxRegBackend(ExactMaxBackend()))
+	m, err := NewWindowedMaxReg(2, 1, hourWindow, epochs, WithBackend(ExactMaxBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	mh := m.Handle(0)
 	mh.Write(99)
-	s, err := NewWindowedSnapshot(2, 1, hourWindow, epochs, WithSnapshotBackend(ExactSnapshotBackend()))
+	s, err := NewWindowedSnapshot(2, 1, hourWindow, epochs, WithBackend(ExactSnapshotBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRotationRacingElidedSnapshotUpdates(t *testing.T) {
 		updates = 10_000
 	)
 	s, err := NewWindowedSnapshot(3, 1, hourWindow, epochs,
-		WithSnapshotBackend(ExactSnapshotBackend()), SnapshotBatch(16))
+		WithBackend(ExactSnapshotBackend()), Batch(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,12 +444,12 @@ func TestWindowedBoundsComposition(t *testing.T) {
 	}
 
 	// Max registers partition instead of summing: nothing widens.
-	m, err := NewWindowedMaxReg(2, 2, hourWindow, epochs, WithMaxRegBackend(MultMaxBackend()))
+	m, err := NewWindowedMaxReg(2, 2, hourWindow, epochs, WithBackend(MultMaxBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	bm, err := NewMaxReg(2, 2, WithMaxRegBackend(MultMaxBackend()))
+	bm, err := NewMaxReg(2, 2, WithBackend(MultMaxBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}

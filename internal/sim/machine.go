@@ -14,6 +14,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"approxobj/internal/prim"
 )
@@ -28,7 +30,7 @@ const (
 	// StatusRunning means the process has a program and can be stepped.
 	StatusRunning
 	// StatusCrashed means the process was crash-stopped and will take no
-	// further steps (its goroutine is parked until the machine shuts down).
+	// further steps (its goroutine is parked until the machine is closed).
 	StatusCrashed
 )
 
@@ -50,13 +52,17 @@ type Machine struct {
 	slots   []*slot
 	trace   []prim.Event
 	aware   *Awareness
+	// quit is closed by Close: every process goroutine still blocked in
+	// Enter then exits instead of waiting for a grant that never comes.
+	quit      chan struct{}
+	closeOnce sync.Once
 }
 
 // NewMachine creates a machine for n processes. Base objects for the
 // algorithms under test must be created through Factory() before programs
 // run, in a deterministic order, so replays assign identical object IDs.
 func NewMachine(n int) *Machine {
-	m := &Machine{}
+	m := &Machine{quit: make(chan struct{})}
 	m.factory = prim.NewGatedFactory(n, m)
 	m.procs = make([]*prim.Proc, n)
 	m.slots = make([]*slot, n)
@@ -84,12 +90,28 @@ func (m *Machine) N() int { return len(m.procs) }
 func (m *Machine) Proc(i int) *prim.Proc { return m.procs[i] }
 
 // Enter implements prim.Gate: it reports the calling process goroutine
-// parked, then blocks it until the driver grants it a step.
+// parked, then blocks it until the driver grants it a step. Once the
+// machine is closed, the goroutine exits here (runtime.Goexit) instead.
 func (m *Machine) Enter(p *prim.Proc) {
 	s := m.slots[p.ID()]
-	s.park <- struct{}{}
-	<-s.token
+	select {
+	case s.park <- struct{}{}:
+	case <-m.quit:
+		runtime.Goexit()
+	}
+	select {
+	case <-s.token:
+	case <-m.quit:
+		runtime.Goexit()
+	}
 }
+
+// Close shuts the machine down: the goroutine of every process that is
+// crashed, or stopped partway through its program, exits from the Enter
+// it is blocked in instead of staying parked for ever (and pinning the machine, its
+// factory, and its trace). Drivers defer it once the run is measured.
+// Step returns false after it. Idempotent.
+func (m *Machine) Close() { m.closeOnce.Do(func() { close(m.quit) }) }
 
 // Exit implements prim.Gate: it reports the completed step (one or more
 // events for arity-q primitives) to the driver.
@@ -123,8 +145,14 @@ func (m *Machine) Spawn(i int, program func(p *prim.Proc)) {
 // Step grants process i one step and waits for it to complete. It returns
 // true if a step was taken, false if the program finished without needing
 // another step (in which case the process becomes idle). Stepping an idle
-// or crashed process returns false immediately.
+// or crashed process, or any process of a closed machine, returns false
+// immediately.
 func (m *Machine) Step(i int) bool {
+	select {
+	case <-m.quit:
+		return false
+	default:
+	}
 	s := m.slots[i]
 	if s.status != StatusRunning || !settle(s) {
 		return false

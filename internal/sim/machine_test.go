@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"approxobj/internal/prim"
 )
@@ -82,6 +83,34 @@ func TestCrashStopsProcess(t *testing.T) {
 	steps := m.RunAll(NewRoundRobin(), 100)
 	if steps != 4 {
 		t.Fatalf("remaining steps = %d, want 4", steps)
+	}
+}
+
+// TestCloseReleasesParkedProcesses closes a machine holding one crashed
+// process (parked awaiting a grant) and one never stepped (blocked
+// reporting itself parked): both goroutines must exit, and the closed
+// machine must refuse further steps.
+func TestCloseReleasesParkedProcesses(t *testing.T) {
+	start := runtime.NumGoroutine()
+	m := NewMachine(2)
+	reg := m.Factory().Reg()
+	m.Spawn(0, incProgram(reg, 10))
+	m.Spawn(1, incProgram(reg, 10))
+	if !m.Step(0) {
+		t.Fatal("first step failed")
+	}
+	m.Crash(0)
+	m.Close()
+	m.Close() // idempotent
+	if m.Step(1) {
+		t.Fatal("closed machine took a step")
+	}
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); got > start && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got > start {
+		t.Fatalf("goroutines: %d before, %d after Close", start, got)
 	}
 }
 

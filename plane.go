@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"approxobj/internal/shard"
+	"approxobj/internal/telemetry"
 )
 
 // This file is the public face of the backend plane: the table of
@@ -212,4 +213,17 @@ func Kinds() []KindPolicy {
 		})
 	}
 	return out
+}
+
+// shardOptions translates the kind-independent part of a spec into the
+// sharded runtime's options: shards, batch, read-cache staleness, and
+// telemetry sink pass through (a zero staleness and a nil sink are the
+// runtime's "off"). Kinds with more than one backend append their
+// WithBackend choice; the others take the runtime's default.
+func (s Spec) shardOptions() []shard.Option {
+	var sink *telemetry.Sink
+	if s.tel != nil {
+		sink = s.tel.sink
+	}
+	return []shard.Option{shard.Shards(s.shards), shard.Batch(s.batch), shard.ReadCache(s.readStale), shard.Telemetry(sink)}
 }

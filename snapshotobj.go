@@ -70,25 +70,6 @@ var snapshotDescriptor = &kindDescriptor{
 	build: func(s Spec) (instance, error) { return newSnapshot(s) },
 }
 
-// snapshotShardOptions translates a snapshot spec into the sharded
-// runtime's configuration; the one backend so far is the exact AADGMS
-// snapshot, so only shards and batch (the component-elision window) pass
-// through.
-func snapshotShardOptions(s Spec) (k uint64, opts []shard.SnapshotOption) {
-	opts = []shard.SnapshotOption{
-		shard.SnapshotShards(s.shards),
-		shard.SnapshotBatch(s.batch),
-		shard.WithSnapshotBackend(shard.ExactSnapshotBackend()),
-	}
-	if s.readStale > 0 {
-		opts = append(opts, shard.SnapshotReadCache(s.readStale))
-	}
-	if s.tel != nil {
-		opts = append(opts, shard.SnapshotTelemetry(s.tel.sink))
-	}
-	return 1, opts
-}
-
 // Snapshot is the single-writer atomic snapshot family — the classic
 // AADGMS construction, optionally sharded and with component elision —
 // built by NewSnapshot from a spec. Process slot i is the single writer
@@ -119,18 +100,18 @@ func NewSnapshot(opts ...Option) (*Snapshot, error) {
 }
 
 func newSnapshot(spec Spec) (*Snapshot, error) {
-	k, sopts := snapshotShardOptions(spec)
+	sopts := spec.shardOptions()
 	s := &Snapshot{}
 	n := spec.procs
 	if spec.Windowed() {
-		rt, err := shard.NewWindowedSnapshot(spec.totalProcs(), k, spec.windowDur, spec.windowEpochs, sopts...)
+		rt, err := shard.NewWindowedSnapshot(spec.totalProcs(), spec.acc.K(), spec.windowDur, spec.windowEpochs, sopts...)
 		if err != nil {
 			return nil, err
 		}
 		s.init(spec, rt, func(i int) BatchedSnapshotHandle { return snapshotSlotHandle{h: rt.Handle(i), n: n} })
 		return s, nil
 	}
-	rt, err := shard.NewSnapshot(spec.totalProcs(), k, sopts...)
+	rt, err := shard.NewSnapshot(spec.totalProcs(), spec.acc.K(), sopts...)
 	if err != nil {
 		return nil, err
 	}
